@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from .caps import get_cap, guard
-from .core import SetFamily, bits, mask_of, transpose
+from .core import SetFamily, bits, mask_of, pair_sweep, transpose
 from .errors import (
     AxiomsFail,
     DuplicateComplement,
@@ -117,10 +117,6 @@ class BeaOracle:
         return True
 
 
-def bea_query(oracle: BeaOracle, s: int, t: int) -> bool:
-    return oracle.query(s, t)
-
-
 def family_bea(family: SetFamily) -> BeaOracle:
     """Linkage oracle of a set family.
 
@@ -158,11 +154,13 @@ class AxiomReport:
         }
 
 
-def _best(witnesses) -> tuple | None:
-    """Minimal witness by total popcount, then by the mask tuple itself."""
-    if not witnesses:
-        return None
-    return min(witnesses, key=lambda w: (sum(m.bit_count() for m in w), w))
+def _report(axiom: str, witnesses, note: str = "") -> AxiomReport:
+    """Report carrying the minimal witness by total popcount, then by the
+    mask tuple itself: a running minimum over the iterable ``witnesses``."""
+    witness = min(
+        witnesses, key=lambda w: (sum(m.bit_count() for m in w), w), default=None
+    )
+    return AxiomReport(axiom, witness is None, witness, note)
 
 
 def _check_i0(o: BeaOracle) -> AxiomReport:
@@ -180,31 +178,32 @@ def _check_i1(o: BeaOracle) -> AxiomReport:
         return AxiomReport(
             "i1", True, note="monotone by construction for induced oracles"
         )
-    found = []
+    # Single-element extensions are complete: any monotonicity failure has
+    # a one-step failure along a chain between the two pairs.
+    return _report("i1", _i1_failures(o))
+
+
+def _i1_failures(o: BeaOracle):
     for s, t in o.pairs:
         for p in range(o.universe):
             bit = 1 << p
             if not s & bit and (s | bit, t) not in o.pairs:
-                found.append((s, t, s | bit, t))
+                yield (s, t, s | bit, t)
             if not t & bit and (s, t | bit) not in o.pairs:
-                found.append((s, t, s, t | bit))
-    # Single-element extensions are complete: any monotonicity failure has
-    # a one-step failure along a chain between the two pairs.
-    return AxiomReport("i1", not found, _best(found))
+                yield (s, t, s, t | bit)
 
 
 def _check_i2(o: BeaOracle) -> AxiomReport:
     n = o.universe
-    found = []
     le = [[o.query(1 << p, 1 << q) for q in range(n)] for p in range(n)]
-    for p in range(n):
-        if not le[p][p]:
-            found.append((1 << p, 1 << p))
-    for p in range(n):
-        for q in range(p + 1, n):
-            if le[p][q] and le[q][p]:
-                found.append((1 << p, 1 << q))
-    return AxiomReport("i2", not found, _best(found))
+    unlinked = ((1 << p, 1 << p) for p in range(n) if not le[p][p])
+    mutual = (
+        (1 << p, 1 << q)
+        for p in range(n)
+        for q in range(p + 1, n)
+        if le[p][q] and le[q][p]
+    )
+    return _report("i2", itertools.chain(unlinked, mutual))
 
 
 def _check_i3(o: BeaOracle) -> AxiomReport:
@@ -214,6 +213,10 @@ def _check_i3(o: BeaOracle) -> AxiomReport:
             True,
             note="a halfspace separating the conclusion would separate a premise",
         )
+    return _report("i3", _i3_failures(o))
+
+
+def _i3_failures(o: BeaOracle):
     by_first: dict[int, list] = {}
     by_second: dict[int, list] = {}
     for s, t in o.pairs:
@@ -221,7 +224,6 @@ def _check_i3(o: BeaOracle) -> AxiomReport:
             by_first.setdefault(p, []).append((s, t))
         for p in bits(t):
             by_second.setdefault(p, []).append((s, t))
-    found = []
     for p in set(by_first) & set(by_second):
         bit = 1 << p
         for u, v in by_first[p]:
@@ -229,8 +231,7 @@ def _check_i3(o: BeaOracle) -> AxiomReport:
                 for a0 in (u & ~bit, u):
                     for b1 in (z & ~bit, z):
                         if (a0 | w, v | b1) not in o.pairs:
-                            found.append((a0, v, w, b1, bit))
-    return AxiomReport("i3", not found, _best(found))
+                            yield (a0, v, w, b1, bit)
 
 
 def _semilattice_closure(members, op, seed, limit) -> set | None:
@@ -280,48 +281,53 @@ def _check_i4_induced(o: BeaOracle) -> AxiomReport:
 
 
 def _check_i4_sweep(o: BeaOracle) -> AxiomReport:
-    n = o.universe
-    found = []
-    for s in range(1 << n):
-        for t in range(1 << n):
-            if not o.query(s, t):
-                continue
-            if not any(
-                o.query(s, 1 << p) and o.query(1 << p, t) for p in range(n)
-            ):
-                found.append((s, t))
-    return AxiomReport("i4", not found, _best(found))
+    to_points, from_points = singleton_links(o)
+    return _report(
+        "i4",
+        pair_sweep(
+            o.universe,
+            lambda s, t: not to_points[s] & from_points[t] and o.query(s, t),
+        ),
+    )
 
 
 def _check_i4(o: BeaOracle) -> AxiomReport:
     if o.halfspaces is not None:
         return _check_i4_induced(o)
-    found = []
-    for s, t in o.pairs:
-        if not any(
-            (s, 1 << p) in o.pairs and (1 << p, t) in o.pairs
-            for p in range(o.universe)
-        ):
-            found.append((s, t))
-    return AxiomReport("i4", not found, _best(found))
+    # Only the stored pairs are visited, so sparse tables stay cheap.
+    pairs = o.pairs
+    points = [1 << p for p in range(o.universe)]
+    return _report(
+        "i4",
+        (
+            (s, t)
+            for s, t in pairs
+            if not any((s, b) in pairs and (b, t) in pairs for b in points)
+        ),
+    )
 
 
 def _check_i5(o: BeaOracle) -> AxiomReport:
     if o.pairs is not None:
-        found = [(s, t) for s, t in o.pairs if (t, s) not in o.pairs]
-        return AxiomReport("i5", not found, _best(found))
+        return _report("i5", ((s, t) for s, t in o.pairs if (t, s) not in o.pairs))
     full = o.full_mask
     members = set(o.halfspaces)
-    found = []
-    for h in o.halfspaces:
-        if full & ~h not in members:
-            # (complement(h), h) is linked one way only.
-            found.append((full & ~h, h))
-    return AxiomReport(
+    # (complement(h), h) is linked one way only.
+    return _report(
         "i5",
-        not found,
-        _best(found),
+        ((full & ~h, h) for h in o.halfspaces if full & ~h not in members),
         note="symmetry for induced oracles is complement-closure of the halfspaces",
+    )
+
+
+def singleton_links(oracle: BeaOracle) -> tuple[list[int], list[int]]:
+    """For every subset ``s`` (as the index): the mask of the points ``p``
+    with ``s ⋈ {p}``, and the mask of those with ``{p} ⋈ s``."""
+    n = oracle.universe
+    subsets = range(1 << n)
+    return (
+        [mask_of(p for p in range(n) if oracle.query(s, 1 << p)) for s in subsets],
+        [mask_of(p for p in range(n) if oracle.query(1 << p, s)) for s in subsets],
     )
 
 
@@ -600,12 +606,7 @@ def oracle_to_table(oracle: BeaOracle) -> BeaOracle:
     """Materialize any oracle as a table by querying every subset pair."""
     n = oracle.universe
     guard("oracle-table", n, "pair-table materialization")
-    pairs = frozenset(
-        (s, t)
-        for s in range(1 << n)
-        for t in range(1 << n)
-        if oracle.query(s, t)
-    )
+    pairs = pair_sweep(n, oracle.query)
     return BeaOracle.from_table(
         n, pairs, zero=oracle.zero_elem, one=oracle.one_elem
     )

@@ -22,7 +22,9 @@ DEFAULT_CAPS = {
     "family-base": 64,
     # Universe bound for element-quantified axiom sweeps (i0, i2, i4, i5, c0, c1).
     "axiom-sweep": 14,
-    # Universe bound for sweeps quantifying over subset *pairs* (i1, i3).
+    # Universe bound for sweeps quantifying over subset *pairs*: the i4
+    # fallback sweep, the bidual transport sweep and the filter nesting /
+    # filter form sweeps of the verifiers (each visits 4^n pairs).
     "pair-axiom-sweep": 10,
     # Universe bound for listing halfspaces analytically.
     "halfspace-universe": 64,

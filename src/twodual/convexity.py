@@ -19,9 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bea import BeaOracle, check_axiom, complement, require_axioms
+from .bea import (
+    BeaOracle,
+    check_axiom,
+    complement,
+    require_axioms,
+    singleton_links,
+)
 from .caps import get_cap, guard
-from .core import SetFamily, bits
+from .core import SetFamily, bits, pair_sweep, subset_images
 from .errors import (
     InputError,
     MissingConstants,
@@ -142,12 +148,9 @@ def bea_from_biconvexity(space: BiConvexity, *, force: bool = False) -> BeaOracl
             raise NotNormal(report)
     n = space.universe
     guard("biconv-table", n, "transversal table")
-    pairs = set()
-    for s in range(1 << n):
-        hu = space.hull_upper(s)
-        for t in range(1 << n):
-            if hu & space.hull_lower(t):
-                pairs.add((s, t))
+    hu = [space.hull_upper(m) for m in range(1 << n)]
+    hl = [space.hull_lower(m) for m in range(1 << n)]
+    pairs = pair_sweep(n, lambda s, t: hu[s] & hl[t])
     return BeaOracle.from_table(
         n, pairs, zero=space.zero_elem, one=space.one_elem
     )
@@ -185,26 +188,20 @@ def check_pasch_convex(
     guard("pasch-sweep", n, "hull-transit sweep")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
-    witness = None
-    for a0 in range(1 << n):
-        for b1 in range(1 << n):
-            for p in range(n):
-                bit = 1 << p
-                upper = hu[a0 | bit]
-                low = hl[b1 | bit]
-                for q in bits(upper):
-                    for r in bits(low):
-                        if not hu[a0 | (1 << r)] & hl[b1 | (1 << q)]:
-                            witness = (a0, b1, p, q, r)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    points = [tuple(bits(m)) for m in range(1 << n)]
+
+    def broken(a0: int, b1: int) -> tuple | None:
+        """The first ``(p, q, r)`` whose conclusion fails at ``(a0, b1)``."""
+        for p in range(n):
+            bit = 1 << p
+            for q in points[hu[a0 | bit]]:
+                for r in points[hl[b1 | bit]]:
+                    if not hu[a0 | (1 << r)] & hl[b1 | (1 << q)]:
+                        return p, q, r
+        return None
+
+    first = next(pair_sweep(n, broken), None)
+    witness = None if first is None else first + broken(*first)
 
     run_cross = crosscheck == "always" or (
         crosscheck == "auto" and n <= get_cap("pasch-crosscheck")
@@ -237,17 +234,7 @@ def biconvexity_from_bea(
         require_axioms(oracle, ("i0", "i1", "i2", "i3", "i4"))
     n = oracle.universe
     guard("biconv-table", n, "hull reconstruction")
-    cl = [0] * (1 << n)
-    cu = [0] * (1 << n)
-    for m in range(1 << n):
-        lo = up = 0
-        for p in range(n):
-            if oracle.query(1 << p, m):
-                lo |= 1 << p
-            if oracle.query(m, 1 << p):
-                up |= 1 << p
-        cl[m] = lo
-        cu[m] = up
+    cu, cl = singleton_links(oracle)
     for m in range(1 << n):
         if m & ~cl[m] or m & ~cu[m]:
             raise RoundTripFailure(
@@ -257,13 +244,14 @@ def biconvexity_from_bea(
             raise RoundTripFailure(
                 "hull operators are not idempotent", witness=(m,)
             )
-    for s in range(1 << n):
-        for t in range(1 << n):
-            if oracle.query(s, t) != bool(cu[s] & cl[t]):
-                raise RoundTripFailure(
-                    "transversal rule disagrees with the oracle",
-                    witness=(s, t),
-                )
+    clash = next(
+        pair_sweep(n, lambda s, t: oracle.query(s, t) != bool(cu[s] & cl[t])),
+        None,
+    )
+    if clash is not None:
+        raise RoundTripFailure(
+            "transversal rule disagrees with the oracle", witness=clash
+        )
     lower = tuple(sorted({cl[m] for m in range(1 << n)}))
     upper = tuple(sorted({cu[m] for m in range(1 << n)}))
     try:
@@ -326,20 +314,13 @@ def check_complemented(space: BiConvexity) -> ComplementedReport:
         return ComplementedReport(
             False, tuple(negation), tuple(missing), None, None
         )
-    swap_witness = None
-    for s in range(1 << n):
-        ns = 0
-        for p in bits(s):
-            ns |= 1 << negation[p]
-        for t in range(1 << n):
-            nt = 0
-            for q in bits(t):
-                nt |= 1 << negation[q]
-            if oracle.query(s, t) != oracle.query(nt, ns):
-                swap_witness = (s, t)
-                break
-        if swap_witness:
-            break
+    neg = subset_images(n, [1 << b for b in negation])
+    swap_witness = next(
+        pair_sweep(
+            n, lambda s, t: oracle.query(s, t) != oracle.query(neg[t], neg[s])
+        ),
+        None,
+    )
     return ComplementedReport(
         True, tuple(negation), (), swap_witness is None, swap_witness
     )

@@ -37,6 +37,42 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def subset_images(n: int, point_masks) -> list[int]:
+    """Image of every subset of ``0 .. n-1`` under a point map.
+
+    ``img[s]`` is the union of ``point_masks[x]`` over the points ``x`` of
+    ``s``, built incrementally from the subset without its lowest point.
+    """
+    img = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        img[s] = img[s ^ low] | point_masks[low.bit_length() - 1]
+    return img
+
+
+def pair_sweep(n: int, pred) -> Iterator[tuple[int, int]]:
+    """The subset pairs ``(s, t)`` of ``0 .. n-1`` on which ``pred(s, t)``
+    holds, in increasing ``(s, t)`` order.  Callers take the first, all,
+    or a running minimum of what it yields."""
+    size = 1 << n
+    for s in range(size):
+        for t in range(size):
+            if pred(s, t):
+                yield s, t
+
+
+def collisions(rows) -> tuple[tuple[int, int], ...]:
+    """Pairs ``(first, x)`` where ``rows[x]`` repeats the row first seen at
+    index ``first``, in increasing ``x``."""
+    first: dict = {}
+    out = []
+    for x, row in enumerate(rows):
+        seen = first.setdefault(row, x)
+        if seen != x:
+            out.append((seen, x))
+    return tuple(out)
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` (including 0 and ``mask`` itself)."""
     sub = mask

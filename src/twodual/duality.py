@@ -19,7 +19,16 @@ from dataclasses import dataclass
 
 from .bea import BeaOracle, all_halfspaces, family_bea, require_axioms
 from .caps import get_cap, guard
-from .core import FiniteStructure, SetFamily, TwoTemplate, bits
+from .core import (
+    FiniteStructure,
+    SetFamily,
+    TwoTemplate,
+    bits,
+    collisions,
+    mask_of,
+    pair_sweep,
+    subset_images,
+)
 from .errors import (
     InputError,
     NotHomomorphism,
@@ -196,26 +205,18 @@ def bidual_and_evaluate(
                 "the induced structure is out of step"
             )
 
-    collisions = []
-    seen: dict[int, int] = {}
-    for x, row in enumerate(rows):
-        if row in seen:
-            collisions.append((seen[row], x))
-        else:
-            seen[row] = x
-
+    # The separation report reads the same point rows of the carrier.
     sep = is_separated(structure, template_d, homset=ds.carrier)
-    unreflected = sep.unreflected
 
     row_set = set(rows)
     unrepresented = tuple(m for m in bidual.homs.sets if m not in row_set)
 
     report = EvalReport(
-        injective=not collisions,
-        embedding=not collisions and not unreflected,
+        injective=not sep.collisions,
+        embedding=sep.separated,
         surjective=not unrepresented,
-        collisions=tuple(collisions),
-        unreflected=unreflected,
+        collisions=sep.collisions,
+        unreflected=sep.unreflected,
         unrepresented=unrepresented,
         sizes=(structure.size, ds.size, len(bidual.homs)),
     )
@@ -396,47 +397,29 @@ def ultimate_bidual_report(
         if row not in members:
             raise AssertionError("evaluation misses the second dual")
 
-    collisions = []
-    seen: dict[int, int] = {}
-    for x, row in enumerate(rows):
-        if row in seen:
-            collisions.append((seen[row], x))
-        else:
-            seen[row] = x
-    unrepresented = [m for m in second.sets if m not in set(rows)]
+    row_set = set(rows)
+    counterexamples = [
+        {"kind": "collision", "points": [x, y]} for x, y in collisions(rows)
+    ]
+    counterexamples += [
+        {"kind": "unrepresented", "halfspaces": sorted(bits(m))}
+        for m in second.sets
+        if m not in row_set
+    ]
 
-    counterexamples: list[dict] = []
-    for x, y in collisions:
-        counterexamples.append({"kind": "collision", "points": [x, y]})
-    for m in unrepresented:
-        counterexamples.append({"kind": "unrepresented", "halfspaces": sorted(bits(m))})
-
-    transported = True
     guard("pair-axiom-sweep", n, "bidual linkage transport sweep")
     bifam = SetFamily(base=len(ud.carrier.sets), sets=second.sets)
     bioracle = family_bea(bifam)
-    second_index = {m: i for i, m in enumerate(second.sets)}
-    eva_index = [second_index[row] for row in rows]
-    for s in range(1 << n):
-        es = 0
-        for p in bits(s):
-            es |= 1 << eva_index[p]
-        for t in range(1 << n):
-            et = 0
-            for q in bits(t):
-                et |= 1 << eva_index[q]
-            if oracle.query(s, t) != bioracle.query(es, et):
-                transported = False
-                counterexamples.append(
-                    {
-                        "kind": "linkage",
-                        "s": sorted(bits(s)),
-                        "t": sorted(bits(t)),
-                    }
-                )
-    passed = not collisions and not unrepresented and transported
+    ev = subset_images(n, [1 << bifam.index[row] for row in rows])
+    untransported = pair_sweep(
+        n, lambda s, t: oracle.query(s, t) != bioracle.query(ev[s], ev[t])
+    )
+    counterexamples += [
+        {"kind": "linkage", "s": sorted(bits(s)), "t": sorted(bits(t))}
+        for s, t in untransported
+    ]
     return {
-        "pass": passed,
+        "pass": not counterexamples,
         "counterexamples": counterexamples,
         "sizes": {
             "X": n,
@@ -499,10 +482,7 @@ def dual_of_surjection(
 
     pullback = []
     for ymask in tgt_homs.homs.sets:
-        xmask = 0
-        for x in range(source.size):
-            if (ymask >> fmap[x]) & 1:
-                xmask |= 1 << x
+        xmask = mask_of(x for x in range(source.size) if ymask >> fmap[x] & 1)
         if xmask not in src_members:
             raise AssertionError("pullback left the source hom-set")
         pullback.append(xmask)
@@ -524,23 +504,16 @@ def dual_of_surjection(
     # pullback and compare.
     src_dual = family_bea(src_homs.homs)
     tgt_dual = family_bea(tgt_homs.homs)
-    sides = side_masks()
-    witnesses = []
-    reflects = True
-    for s in sides:
-        es = 0
-        for i in bits(s):
-            es |= 1 << image_index[i]
-        for t in sides:
-            et = 0
-            for j in bits(t):
-                et |= 1 << image_index[j]
-            if tgt_dual.query(s, t) != src_dual.query(es, et):
-                reflects = False
-                witnesses.append((s, t))
+    image = {s: mask_of(image_index[i] for i in bits(s)) for s in side_masks()}
+    witnesses = tuple(
+        (s, t)
+        for s in image
+        for t in image
+        if tgt_dual.query(s, t) != src_dual.query(image[s], image[t])
+    )
     return SurjectionReport(
         pullback=tuple(pullback),
         injective=injective,
-        reflects=reflects,
-        witnesses=tuple(witnesses),
+        reflects=not witnesses,
+        witnesses=witnesses,
     )

@@ -7,7 +7,7 @@ import time
 from dataclasses import dataclass
 
 from .caps import get_cap, guard
-from .core import FiniteStructure, SetFamily, TwoTemplate
+from .core import FiniteStructure, SetFamily, TwoTemplate, collisions
 from .errors import (
     HomLimitExceeded,
     InputError,
@@ -210,16 +210,7 @@ def is_separated(
     hs = homset or enumerate_homs(structure, template)
     fam = hs.homs
     n = structure.size
-    rows = [0] * n
-    for x in range(n):
-        rows[x] = fam.point_row(x)
-    collisions = []
-    seen = {}
-    for x in range(n):
-        if rows[x] in seen:
-            collisions.append((seen[rows[x]], x))
-        else:
-            seen[rows[x]] = x
+    clashes = collisions(fam.point_row(x) for x in range(n))
     unreflected = []
     guard("induced-product", max(n, 2) ** max(
         (s.arity for s in structure.signature.symbols), default=1
@@ -235,7 +226,7 @@ def is_separated(
             ):
                 unreflected.append((sym.name, t))
     return SeparationReport(
-        separated=not collisions and not unreflected,
-        collisions=tuple(collisions),
+        separated=not clashes and not unreflected,
+        collisions=clashes,
         unreflected=tuple(unreflected),
     )

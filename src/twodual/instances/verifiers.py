@@ -7,6 +7,7 @@ pool only splits work across instances and never changes the report
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -18,7 +19,15 @@ from ..bea import (
     oracle_to_table,
     separate,
 )
-from ..core import FiniteStructure, SetFamily, bits, mask_of
+from ..caps import guard
+from ..core import (
+    FiniteStructure,
+    SetFamily,
+    bits,
+    mask_of,
+    pair_sweep,
+    subset_images,
+)
 from ..duality import (
     bidual_and_evaluate,
     dual,
@@ -28,6 +37,7 @@ from ..duality import (
 )
 from ..errors import (
     DualityError,
+    InputError,
     PaschFailure,
     S1Violation,
     TimeoutExceeded,
@@ -90,14 +100,15 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
     oracle = family_bea(SetFamily(base=filters.base, sets=filters.sets))
     rows = filters.sets
     k = len(rows)
-    for s in range(1 << k):
-        for t in range(1 << k):
-            nest = any(
-                rows[p] & ~rows[q] == 0 for p in bits(s) for q in bits(t)
-            )
-            if oracle.query(s, t) != nest:
-                return False, (s, t)
-    return True, None
+    guard("pair-axiom-sweep", k, "filter nesting sweep")
+    # up[s]: the filters containing some filter of s.
+    up = subset_images(
+        k, [mask_of(q for q in range(k) if r & ~rows[q] == 0) for r in rows]
+    )
+    witness = next(
+        pair_sweep(k, lambda s, t: oracle.query(s, t) != bool(up[s] & t)), None
+    )
+    return witness is None, witness
 
 
 def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
@@ -299,18 +310,18 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
     oracle = BeaOracle.from_halfspaces(x.size, masks)
     meet = x.op("meet")
     n = x.size
+    guard("pair-axiom-sweep", n, "filter form sweep")
     up = [
         mask_of(e for e in range(n) if meet[p, e] == p) for p in range(n)
     ]
-    for s in range(1, 1 << n):
-        p = None
-        for e in bits(s):
-            p = e if p is None else meet[p, e]
-        principal = up[p]
-        for t in range(1 << n):
-            if oracle.query(s, t) != bool(t & principal):
-                return False
-    return True
+    principal = [0] + [
+        up[functools.reduce(lambda p, e: meet[p, e], bits(s))]
+        for s in range(1, 1 << n)
+    ]
+    disagree = pair_sweep(
+        n, lambda s, t: s and oracle.query(s, t) != bool(t & principal[s])
+    )
+    return next(disagree, None) is None
 
 
 def verify_hms(
@@ -846,32 +857,34 @@ def verify_hom_equivalence(
 
 # --------------------------------------------------------------- dispatch
 
+def _given(**values) -> dict:
+    """The CLI values that were given (a ``0`` included); each verifier's
+    own defaults fill in the rest."""
+    return {name: v for name, v in values.items() if v is not None}
+
+
 _SUITES = {
     "priestley": lambda max_size, samples, seed, threads: verify_priestley(
-        max_size or 4, threads=threads
+        **_given(max_size=max_size), threads=threads
     ),
     "stone": lambda max_size, samples, seed, threads: verify_stone(
-        max_size or 4, threads=threads
+        **_given(max_size=max_size), threads=threads
     ),
     "hms": lambda max_size, samples, seed, threads: verify_hms(
-        max_size or 4, samples or 200, seed=seed or 11, threads=threads
+        **_given(max_size=max_size, samples=samples, seed=seed), threads=threads
     ),
     "biconvex": lambda max_size, samples, seed, threads: verify_biconvex(
-        max_size or 6, seed=seed or 2026, threads=threads
+        **_given(max_size=max_size, seed=seed), threads=threads
     ),
     "pasch": lambda max_size, samples, seed, threads: verify_pasch(
-        samples or 500,
-        seed=seed or 5,
-        max_universe=max_size or 8,
+        **_given(samples=samples, seed=seed, max_universe=max_size),
         threads=threads,
     ),
     "betweenness": lambda max_size, samples, seed, threads: verify_betweenness(
-        samples=samples or 30, seed=seed or 7, threads=threads
+        **_given(samples=samples, seed=seed), threads=threads
     ),
     "ultimate": lambda max_size, samples, seed, threads: verify_ultimate(
-        samples or 100,
-        seed=seed or 3,
-        max_size=max_size or 5,
+        **_given(samples=samples, seed=seed, max_size=max_size),
         threads=threads,
     ),
 }
@@ -895,4 +908,7 @@ def run_suite(
         raise DualityError(
             f"unknown suite {name!r}; choices: {', '.join(sorted(_SUITES))}"
         ) from None
+    # Their generators draw universes of 2 .. max_size points.
+    if name in ("pasch", "ultimate") and max_size is not None and max_size < 2:
+        raise InputError(f"suite {name!r} needs --max-size of at least 2")
     return runner(max_size, samples, seed, threads)

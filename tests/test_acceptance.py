@@ -104,7 +104,7 @@ def test_criterion_05_separation_algorithm():
     assert all(e["failure"] is None and e["pass"] for e in rep["entries"])
     assert len(rep["fixtures"]) == 20
     for fx in rep["fixtures"]:
-        assert fx["separate_outcome"] in ("pasch_failure", "axiom_failure")
+        assert fx["separate_outcome"] == "pasch_failure"
         assert fx["pass"]
     pairs = sum(e["pairs"] for e in rep["entries"])
     assert _line(5, rep["pass"], f"{pairs} separations, 20 broken fixtures")

@@ -17,6 +17,7 @@ from twodual import (
     all_halfspaces,
     associated_order,
     bits,
+    caps,
     check_axiom,
     check_axioms,
     complement,
@@ -312,3 +313,31 @@ def test_axiom_witnesses_are_popcount_minimal():
     # The reported conclusion pair is the deleted one (it is the unique hole).
     a0, b0 = rep.witness[0], rep.witness[1]
     assert (a0, b0) == (s0, t0)
+
+
+def test_i4_fallback_sweep_agrees_with_the_closure_path(monkeypatch):
+    # A closure-size of 0 makes every closure blow up, so check_axiom falls
+    # back to the 4^n pair sweep; verdicts must match the closure path.
+    oracles = [
+        family_bea(fam) for base in (2, 3) for fam in small_families(base, 3)
+    ]
+    closure = [check_axiom(o, "i4") for o in oracles]
+    assert any(r.passed for r in closure) and not all(r.passed for r in closure)
+    failing = {
+        (2, (0b01, 0b10)): (0b00, 0b11),
+        (3, (0b001, 0b010)): (0b11, 0b00),
+        (3, (0b001, 0b110)): (0b00, 0b11),
+    }
+    pinned = {
+        (base, sets): family_bea(SetFamily(base=base, sets=sets))
+        for base, sets in failing
+    }
+    pinned_closure = {k: check_axiom(o, "i4") for k, o in pinned.items()}
+
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "closure-size", 0)
+    for o, want in zip(oracles, closure):
+        assert check_axiom(o, "i4").passed == want.passed
+    for key, o in pinned.items():
+        rep = check_axiom(o, "i4")
+        assert not rep.passed
+        assert rep.witness == pinned_closure[key].witness == failing[key]

@@ -200,6 +200,25 @@ def test_verify_stone_suite(capsys):
     assert doc["pass"] is True
 
 
+def test_verify_seed_zero_is_not_the_default_seed(capsys):
+    def report(*extra):
+        argv = ["verify", "--suite", "hms", "--max-size", "1", "--samples",
+                "5", "--format", "json", "--threads", "1", *extra]
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    default = report()
+    assert report("--seed", "0") != default
+    assert report("--seed", "11") == default
+
+
+def test_verify_rejects_a_max_size_its_suite_cannot_draw(capsys):
+    code = main(["verify", "--suite", "pasch", "--max-size", "0",
+                 "--samples", "1", "--threads", "1"])
+    assert code == 2
+    assert "--max-size" in capsys.readouterr().err
+
+
 def test_gen_is_deterministic(capsys):
     argv = ["gen", "--class", "family", "--size", "4", "--seed", "9",
             "--count", "3"]

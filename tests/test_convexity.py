@@ -110,8 +110,9 @@ def test_unrealizable_oracle_raises_round_trip_failure():
     assert (0b011, 0b110) in pairs
     pairs.discard((0b011, 0b110))
     broken = BeaOracle.from_table(3, pairs)
-    with pytest.raises(RoundTripFailure):
+    with pytest.raises(RoundTripFailure) as info:
         biconvexity_from_bea(broken, skip_axioms=True)
+    assert info.value.witness == (0b011, 0b110)
 
 
 def test_complementation_of_the_powerset_space():
@@ -122,6 +123,23 @@ def test_complementation_of_the_powerset_space():
     # negation is set complement.
     assert rep.negation == (3, 2, 1, 0)
     assert rep.to_json()["pass"] is True
+
+
+def test_swap_law_failure_reports_the_first_pair():
+    # Every point has a complement, but the lower and upper families are
+    # not mirror images, so negation does not reverse linkage.
+    space = BiConvexity(
+        4,
+        SetFamily(base=4, sets=(0, 1, 2, 8, 9, 10, 15)),
+        SetFamily(base=4, sets=(0, 2, 4, 5, 6, 10, 14, 15)),
+        zero_elem=3,
+        one_elem=2,
+    )
+    rep = check_complemented(space)
+    assert rep.complemented and rep.swap_passed is False
+    assert rep.negation == (1, 0, 3, 2)
+    assert rep.swap_witness == (0b0010, 0b0100)
+    assert rep.to_json()["swap_witness"] == [[1], [2]]
 
 
 def test_complementation_needs_constants():

@@ -9,7 +9,10 @@ from twodual.core import (
     Symbol,
     TwoTemplate,
     bits,
+    collisions,
     mask_of,
+    pair_sweep,
+    subset_images,
     submasks,
     substructure,
     transpose,
@@ -21,6 +24,7 @@ from twodual.errors import (
     FunctionNotClosed,
     UniverseTooLarge,
 )
+from twodual.rng import SplitMix64
 
 
 def test_mask_helpers_round_trip():
@@ -28,6 +32,41 @@ def test_mask_helpers_round_trip():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert list(bits(0)) == []
     assert mask_of([]) == 0
+
+
+def test_subset_images_match_per_bit_mapping():
+    rng = SplitMix64(41)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        target = rng.randint(1, 12)
+        point_masks = [rng.mask(target) for _ in range(n)]
+        img = subset_images(n, point_masks)
+        assert len(img) == 1 << n
+        for s in range(1 << n):
+            expected = 0
+            for x in bits(s):
+                expected |= point_masks[x]
+            assert img[s] == expected
+
+
+def test_pair_sweep_yields_matching_pairs_in_order():
+    got = list(pair_sweep(2, lambda s, t: s & t))
+    assert got == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
+    assert next(pair_sweep(3, lambda s, t: s > 5 and t == 2)) == (6, 2)
+    assert next(pair_sweep(3, lambda s, t: False), None) is None
+    assert len(list(pair_sweep(0, lambda s, t: True))) == 1
+
+
+def test_collisions_pair_each_repeat_with_its_first_row():
+    assert collisions([5, 3, 5, 5, 3, 7]) == ((0, 2), (0, 3), (1, 4))
+    assert collisions(iter([1, 2, 4])) == ()
+
+
+def test_every_exported_name_resolves():
+    import twodual
+
+    for name in twodual.__all__:
+        assert hasattr(twodual, name), name
 
 
 def test_submasks_of_a_three_bit_mask():

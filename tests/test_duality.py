@@ -6,6 +6,7 @@ from twodual import (
     BeaOracle,
     SetFamily,
     all_halfspaces,
+    bea_from_biconvexity,
     bidual_and_evaluate,
     check_semi_dual,
     dual,
@@ -14,12 +15,13 @@ from twodual import (
     family_bea,
     hom_equivalence,
     oracle_from_homs,
+    oracle_to_table,
     ultimate_bidual_report,
     ultimate_dual,
 )
 from twodual.core import FiniteStructure
 from twodual.errors import AxiomsFail, S1Violation, SignatureMismatch
-from twodual.instances import gen_posets, template
+from twodual.instances import chain_interval_space, gen_posets, template
 
 
 def chain_lattice(n):
@@ -147,6 +149,24 @@ def test_ultimate_bidual_report_is_exact_on_small_oracles():
             fam = SetFamily(base=3, sets=combo)
             rep = ultimate_bidual_report(family_bea(fam))
             assert rep["pass"], (combo, rep["counterexamples"])
+
+
+def test_ultimate_bidual_report_lists_untransported_pairs_in_order():
+    # The interval table of the 4-chain with three linked pairs deleted:
+    # the second dual restores them, so each deletion is a linkage
+    # counterexample, listed in increasing (s, t) order.
+    table = oracle_to_table(bea_from_biconvexity(chain_interval_space(4)))
+    deleted = {(0b0011, 0b0110), (0b0110, 0b1100), (0b0101, 0b0110)}
+    assert deleted <= table.pairs
+    broken = BeaOracle.from_table(4, table.pairs - deleted)
+    rep = ultimate_bidual_report(broken, assume_axioms=True)
+    assert rep["pass"] is False
+    assert rep["counterexamples"] == [
+        {"kind": "linkage", "s": [0, 1], "t": [1, 2]},
+        {"kind": "linkage", "s": [0, 2], "t": [1, 2]},
+        {"kind": "linkage", "s": [1, 2], "t": [2, 3]},
+    ]
+    assert rep["sizes"] == {"X": 4, "Xstar": 8, "Xbidual": 4}
 
 
 def test_oracle_from_homs_carries_template_constants():

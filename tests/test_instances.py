@@ -4,9 +4,9 @@ import pytest
 
 from twodual import family_bea, is_halfspace, separate
 from twodual.bea import check_axiom
-from twodual.core import FiniteStructure, Symbol, validate
+from twodual.core import FiniteStructure, SetFamily, Symbol, validate
 from twodual.errors import InputError, PaschFailure
-from twodual.homs import is_separated
+from twodual.homs import enumerate_homs, is_separated
 from twodual.instances import (
     betweenness_axioms,
     count_posets_brute,
@@ -26,6 +26,7 @@ from twodual.instances import (
     template,
     template_names,
 )
+from twodual.instances.verifiers import _filter_form_agrees, _filter_nesting
 
 
 def test_every_catalog_template_is_a_valid_two_element_structure():
@@ -221,3 +222,21 @@ def test_transit_fixture_needs_a_removable_conclusion():
     single = family_bea(SetFamily(base=1, sets=(0b1,)))
     with pytest.raises(ValueError):
         make_transit_fixture(single)
+
+
+def test_filter_nesting_sweep_reports_the_first_disagreement():
+    # A chain of sets without the full base: linkage is nesting.
+    assert _filter_nesting(SetFamily(base=3, sets=(0b001, 0b011))) == (True, None)
+    # With the full base as a member, the empty left side links to it
+    # although nothing on the left is nested in it.
+    got = _filter_nesting(SetFamily(base=3, sets=(0b001, 0b011, 0b111, 0b110)))
+    assert got == (False, (0b0000, 0b0100))
+
+
+def test_filter_form_sweep_on_semilattice_homs():
+    semi_t = template("semilattice")
+    for x in gen_semilattices(3):
+        masks = enumerate_homs(x, semi_t).homs.sets
+        assert _filter_form_agrees(x, masks)
+        # With no halfspaces every pair links, so the shorthand disagrees.
+        assert not _filter_form_agrees(x, ())
