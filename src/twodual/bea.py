@@ -6,7 +6,8 @@ universe, whether ``s`` is linked to ``t``.  Two realizations are provided:
 ``table``
     The positive pairs are stored exhaustively as a frozen set of mask
     pairs.  Nothing is assumed about them; the axiom checkers below do the
-    honest sweeps.
+    honest sweeps.  The ``i3`` check reads the table as one ``4^n``-bit
+    int, with bit ``s << n | t`` set for each stored pair ``(s, t)``.
 
 ``induced``
     A tuple of *halfspace* masks ``H`` is stored and ``s ⋈ t`` holds iff no
@@ -33,6 +34,7 @@ CLI flags:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -213,9 +215,90 @@ def _check_i3(o: BeaOracle) -> AxiomReport:
             True,
             note="a halfspace separating the conclusion would separate a premise",
         )
-    return _report("i3", _i3_failures(o))
+    w = _i3_witness(o)
+    return AxiomReport("i3", w is None, w)
 
 
+@functools.cache
+def _index_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the ``4^n`` pair indices ``x = s << n | t``: for each of
+    the ``2n`` index bits ``j``, the indices with bit ``j`` set; and for
+    each popcount ``c`` in ``0 .. 2n``, the indices of that popcount."""
+    m = 2 * n
+    ones = (1 << (1 << m)) - 1
+    with_bit = tuple(
+        ones // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+        for j in range(m)
+    )
+    levels = [1]
+    for j in range(m):
+        levels = [a | b << (1 << j) for a, b in zip(levels + [0], [0] + levels)]
+    return with_bit, tuple(levels)
+
+
+def _i3_witness(o: BeaOracle) -> tuple | None:
+    """The i3 witness ``_report`` would pick from :func:`_i3_failures`,
+    found on the table read as one bitset ``T`` over ``x = s << n | t``.
+
+    A witness ``(a0, b0, a1, b1, {p})`` is a pair of indices
+    ``x = a0 << n | b0`` and ``y = a1 << n | b1``: ``x`` lies in
+    ``A_p = {x : x | bit(p + n) ∈ T}``, ``y`` in ``B_p = {y : y | bit(p) ∈ T}``
+    and ``x | y ∉ T``, and the mask tuple orders like ``(x, y, p)``.  The
+    ``y`` are walked depth-first, each adding a bit below the lowest one of
+    its parent, and carry ``joins = {x : x | y ∈ T}``, which one shift and
+    mask derive from the parent's; so only O(n) bitsets are live.  When
+    ``joins`` is empty, no ``y`` below lies in any ``B_p``.
+    """
+    n = o.universe
+    with_bit, levels = _index_masks(n)
+    buf = bytearray(((1 << 2 * n) >> 3) + 1)
+    for s, t in o.pairs:
+        x = s << n | t
+        buf[x >> 3] |= 1 << (x & 7)
+    table = int.from_bytes(buf, "little")
+
+    def joined(bitset: int, j: int) -> int:
+        hit = bitset & with_bit[j]
+        return hit | hit >> (1 << j)
+
+    firsts = [joined(table, p + n) for p in range(n)]
+    seconds = [joined(table, p) for p in range(n)]
+    best = None  # (total popcount, x, y, p)
+
+    def visit(y: int, joins: int, below: int) -> None:
+        nonlocal best
+        size = y.bit_count()
+        for p, second in enumerate(seconds):
+            if not second >> y & 1:
+                continue
+            fails = firsts[p] & ~joins
+            # Only popcounts of x that can still reach the best total.
+            top = len(levels) if best is None else best[0] - size + 1
+            for c, level in enumerate(levels[:top]):
+                hit = fails & level
+                if hit:
+                    key = (c + size, (hit & -hit).bit_length() - 1, y, p)
+                    if best is None or key < best:
+                        best = key
+                    break
+        if best is not None and size >= best[0]:
+            return
+        for j in range(below):
+            child = joined(joins, j)
+            if child:
+                visit(y | 1 << j, child, j)
+
+    if table:
+        visit(0, table, 2 * n)
+    if best is None:
+        return None
+    _, x, y, p = best
+    full = o.full_mask
+    return (x >> n, x & full, y >> n, y & full, 1 << p)
+
+
+# Every i3 failure of a table oracle, by joining the stored pairs: the
+# reference that _i3_witness is tested against.
 def _i3_failures(o: BeaOracle):
     by_first: dict[int, list] = {}
     by_second: dict[int, list] = {}
@@ -276,6 +359,10 @@ def _check_i4_induced(o: BeaOracle) -> AxiomReport:
             for p in range(n):
                 if o.query(a, 1 << p) and o.query(1 << p, b):
                     raise AssertionError("i4 closure reduction out of step")
+            # A hull pair is a witness, not the minimal one: the sweep finds
+            # that, so the witness does not depend on the closure-size cap.
+            if n <= get_cap("pair-axiom-sweep"):
+                return _check_i4_sweep(o)
             return AxiomReport("i4", False, (a, b))
     return AxiomReport("i4", True)
 

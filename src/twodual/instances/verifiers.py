@@ -647,12 +647,14 @@ def verify_pasch(
         local = SplitMix64(pseed)
         n = oracle.universe
         found = [(0, 0)]
+        seen = set(found)
         attempts = 0
         while len(found) < pairs_per and attempts < 40 * pairs_per:
             attempts += 1
-            s, t = local.mask(n), local.mask(n)
-            if (s, t) not in found and not oracle.query(s, t):
-                found.append((s, t))
+            pair = local.mask(n), local.mask(n)
+            if pair not in seen and not oracle.query(*pair):
+                found.append(pair)
+                seen.add(pair)
         bad = None
         for (s, t) in found:
             try:

@@ -67,6 +67,8 @@ class SplitMix64:
 
     def mask(self, width: int) -> int:
         """Random ``width``-bit mask (each bit independent, p = 1/2)."""
+        if 0 < width <= 64:
+            return self.next_u64() & ((1 << width) - 1)
         out = 0
         remaining = width
         while remaining > 0:

@@ -27,8 +27,13 @@ from twodual import (
     require_axioms,
     separate,
 )
+from twodual.bea import _i3_failures, _report
+from twodual.convexity import bea_from_biconvexity
 from twodual.core import SetFamily
 from twodual.errors import EmptyUniverse, InputError
+from twodual.instances import verifiers
+from twodual.instances.generators import gen_biconvexity
+from twodual.rng import SplitMix64
 
 
 def naive_family_query(base_size, members, s_mask, t_mask):
@@ -341,3 +346,73 @@ def test_i4_fallback_sweep_agrees_with_the_closure_path(monkeypatch):
         rep = check_axiom(o, "i4")
         assert not rep.passed
         assert rep.witness == pinned_closure[key].witness == failing[key]
+
+
+def test_i4_witness_does_not_depend_on_the_closure_cap(monkeypatch):
+    oracle = family_bea(SetFamily(base=2, sets=(0, 1, 2)))
+    closure = check_axiom(oracle, "i4")
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "closure-size", 0)
+    sweep = check_axiom(oracle, "i4")
+    assert closure == sweep
+    assert closure.to_json()["witness"] == [[], [1, 2]]
+
+
+def _assert_i3_matches_the_join(oracle):
+    assert check_axiom(oracle, "i3") == _report("i3", _i3_failures(oracle))
+
+
+def test_bitset_i3_matches_the_pair_join_on_random_tables():
+    rng = SplitMix64(3)
+    for n in range(1, 5):
+        size = 1 << 2 * n
+        full = (1 << n) - 1
+        every = [(x >> n, x & full) for x in range(size)]
+        _assert_i3_matches_the_join(BeaOracle.from_table(n, []))
+        _assert_i3_matches_the_join(BeaOracle.from_table(n, every))
+        for sixteenths in (1, 4, 8, 12, 15):
+            for _ in range(6 if n < 4 else 2):
+                pairs = [p for p in every if rng.below(16) < sixteenths]
+                _assert_i3_matches_the_join(BeaOracle.from_table(n, pairs))
+                # Its monotone closure: every pair above a drawn one.
+                upward = [
+                    (s, t)
+                    for s, t in every
+                    if any(a & ~s == 0 and b & ~t == 0 for a, b in pairs)
+                ]
+                _assert_i3_matches_the_join(BeaOracle.from_table(n, upward))
+
+
+def test_bitset_i3_matches_the_pair_join_on_transit_fixtures(monkeypatch):
+    fixtures = []
+    make_fixture = verifiers.make_transit_fixture
+
+    def recorded(oracle):
+        out = make_fixture(oracle)
+        fixtures.append(out[0])
+        return out
+
+    monkeypatch.setattr(verifiers, "make_transit_fixture", recorded)
+    verifiers.verify_pasch(0, seed=5, max_universe=5)
+    assert len(fixtures) == 20
+    # The join costs about a second per 5-point table: check one of them.
+    small = [o for o in fixtures if o.universe < 5]
+    large = [o for o in fixtures if o.universe == 5]
+    assert small and large
+    for oracle in small + large[:1]:
+        assert not check_axiom(oracle, "i3").passed
+        _assert_i3_matches_the_join(oracle)
+
+
+def test_bitset_i3_matches_the_pair_join_on_crosscheck_tables():
+    corpus = gen_biconvexity()
+    tables = [
+        bea_from_biconvexity(space, force=True)
+        for kind in ("plain", "symmetric")
+        for space in corpus[kind]
+        if space.universe <= 5
+    ]
+    small = [o for o in tables if o.universe < 5]
+    large = [o for o in tables if o.universe == 5]
+    assert small and large
+    for oracle in small + large[:1]:
+        _assert_i3_matches_the_join(oracle)

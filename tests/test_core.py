@@ -34,6 +34,27 @@ def test_mask_helpers_round_trip():
     assert mask_of([]) == 0
 
 
+def _mask_by_words(rng, width):
+    """``SplitMix64.mask`` as it was first written: 64-bit words, high
+    word first."""
+    out = 0
+    remaining = width
+    while remaining > 0:
+        take = min(remaining, 64)
+        out = (out << take) | (rng.next_u64() & ((1 << take) - 1))
+        remaining -= take
+    return out
+
+
+def test_mask_keeps_the_word_loop_stream():
+    for seed in (0, 1, 5, 2026, (1 << 64) - 1):
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        for width in range(-1, 131):
+            assert fast.mask(width) == _mask_by_words(slow, width)
+            # Both streams stay in step, so they drew as many words.
+            assert fast.next_u64() == slow.next_u64()
+
+
 def test_subset_images_match_per_bit_mapping():
     rng = SplitMix64(41)
     for _ in range(200):
