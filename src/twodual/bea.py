@@ -6,8 +6,9 @@ universe, whether ``s`` is linked to ``t``.  Two realizations are provided:
 ``table``
     The positive pairs are stored exhaustively as a frozen set of mask
     pairs.  Nothing is assumed about them; the axiom checkers below do the
-    honest sweeps.  The ``i3`` check reads the table as one ``4^n``-bit
-    int, with bit ``s << n | t`` set for each stored pair ``(s, t)``.
+    honest sweeps.  Within the ``pair-axiom-sweep`` cap, the ``i3`` check
+    reads the table as one ``4^n``-bit int, with bit ``s << n | t`` set for
+    each stored pair ``(s, t)``; past it, it joins the stored pairs.
 
 ``induced``
     A tuple of *halfspace* masks ``H`` is stored and ``s ⋈ t`` holds iff no
@@ -215,6 +216,9 @@ def _check_i3(o: BeaOracle) -> AxiomReport:
             True,
             note="a halfspace separating the conclusion would separate a premise",
         )
+    if o.universe > get_cap("pair-axiom-sweep"):
+        # The bitset spans all 4^n pairs; past the cap, join the stored pairs.
+        return _report("i3", _i3_failures(o))
     w = _i3_witness(o)
     return AxiomReport("i3", w is None, w)
 
@@ -298,7 +302,9 @@ def _i3_witness(o: BeaOracle) -> tuple | None:
 
 
 # Every i3 failure of a table oracle, by joining the stored pairs: the
-# reference that _i3_witness is tested against.
+# reference that _i3_witness is tested against, and the check for
+# universes past the pair-axiom-sweep cap, where its O(n·|T|²) cost does
+# not grow with 4^n.
 def _i3_failures(o: BeaOracle):
     by_first: dict[int, list] = {}
     by_second: dict[int, list] = {}
@@ -342,6 +348,10 @@ def _check_i4_induced(o: BeaOracle) -> AxiomReport:
         raise UniverseTooLarge(
             "closure-size", 1 << 22, len(inters) * len(unions), "i4 pair product"
         )
+    # A hull pair is a witness, not the minimal one.  Within the sweep cap
+    # the sweep finds that, so the witness does not depend on closure-size;
+    # past it, the first hull pair is reported.
+    sweepable = n <= get_cap("pair-axiom-sweep")
     # For induced oracles, a ⋈ b depends on a only through the intersection
     # of the halfspaces above a, and the witnessing points available for b
     # only through unions of halfspaces; so it suffices to test hull pairs.
@@ -352,6 +362,8 @@ def _check_i4_induced(o: BeaOracle) -> AxiomReport:
                 continue
             if any(h & ~bcomp == 0 for h in above):
                 continue
+            if sweepable:
+                return _check_i4_sweep(o)
             b = full & ~bcomp
             # Re-derive the witness honestly before reporting it.
             if not o.query(a, b):
@@ -359,10 +371,6 @@ def _check_i4_induced(o: BeaOracle) -> AxiomReport:
             for p in range(n):
                 if o.query(a, 1 << p) and o.query(1 << p, b):
                     raise AssertionError("i4 closure reduction out of step")
-            # A hull pair is a witness, not the minimal one: the sweep finds
-            # that, so the witness does not depend on the closure-size cap.
-            if n <= get_cap("pair-axiom-sweep"):
-                return _check_i4_sweep(o)
             return AxiomReport("i4", False, (a, b))
     return AxiomReport("i4", True)
 

@@ -24,7 +24,9 @@ DEFAULT_CAPS = {
     "axiom-sweep": 14,
     # Universe bound for sweeps quantifying over subset *pairs*: the i4
     # fallback sweep, the bidual transport sweep and the filter nesting /
-    # filter form sweeps of the verifiers (each visits 4^n pairs).
+    # filter form sweeps of the verifiers (each visits 4^n pairs).  It also
+    # picks the path of two checks: table i3 uses its 4^n-bit bitset, and
+    # a failing induced i4 takes its witness from the sweep, only within it.
     "pair-axiom-sweep": 10,
     # Universe bound for listing halfspaces analytically.
     "halfspace-universe": 64,

@@ -357,6 +357,27 @@ def test_i4_witness_does_not_depend_on_the_closure_cap(monkeypatch):
     assert closure.to_json()["witness"] == [[], [1, 2]]
 
 
+def test_i4_reports_a_hull_pair_past_the_sweep_cap(monkeypatch):
+    oracles = [
+        family_bea(fam) for base in (2, 3) for fam in small_families(base, 3)
+    ]
+    swept = [check_axiom(o, "i4") for o in oracles]
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", 0)
+    for o, want in zip(oracles, swept):
+        rep = check_axiom(o, "i4")
+        assert rep.passed == want.passed
+        if not rep.passed:
+            # A genuine failure: linked, with no point linked between.
+            a, b = rep.witness
+            assert o.query(a, b)
+            assert not any(
+                o.query(a, 1 << p) and o.query(1 << p, b)
+                for p in range(o.universe)
+            )
+    oracle = family_bea(SetFamily(base=2, sets=(0, 1, 2)))
+    assert check_axiom(oracle, "i4").to_json()["witness"] == [[], [0, 1, 2]]
+
+
 def _assert_i3_matches_the_join(oracle):
     assert check_axiom(oracle, "i3") == _report("i3", _i3_failures(oracle))
 

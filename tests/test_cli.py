@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from twodual import SetFamily, family_bea, oracle_to_table
+from twodual import BeaOracle, SetFamily, family_bea, oracle_to_table
 from twodual.cli import main
 from twodual.core import FiniteStructure
 from twodual.instances import make_transit_fixture, template
@@ -114,6 +114,19 @@ def test_check_axioms_flags_broken_tables(tmp_path, capsys):
     assert doc["pass"] is False
     assert doc["axioms"]["i3"]["pass"] is False
     assert doc["axioms"]["i3"]["witness"]
+
+
+def test_check_axioms_on_a_sparse_table_past_the_sweep_cap(tmp_path, capsys):
+    # Twenty points put 4^20 pairs past pair-axiom-sweep; i3 joins the two
+    # stored pairs instead of building a 4^20-bit set.
+    oracle = BeaOracle.from_table(20, [(1 << 0, 1 << 19), (1 << 19, 1 << 5)])
+    path = tmp_path / "sparse.json"
+    path.write_text(dumps(bea_to_json(oracle)) + "\n")
+    code = main(["check-axioms", "--in", str(path), "--format", "json"])
+    assert code == 1
+    i3 = json.loads(capsys.readouterr().out)["axioms"]["i3"]
+    assert i3["pass"] is False
+    assert i3["witness"] == [[], [5], [0], [], [19]]
 
 
 def test_check_axioms_subset_selection(tmp_path, capsys):
