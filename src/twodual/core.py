@@ -73,6 +73,53 @@ def collisions(rows) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def preserved_tuples(rows, width: int, arity: int, allowed):
+    """The ``arity``-tuples of points that each of ``width`` maps into
+    ``{0, 1}`` sends into ``allowed``, in ``itertools.product`` order.
+
+    ``rows[x]`` masks the maps sending point ``x`` to 1.  A tuple is out as
+    soon as some map matches a disallowed image along it, i.e. the AND of
+    ``rows[x]`` (or its complement) over the tuple's positions is nonzero.
+    """
+    full = (1 << width) - 1
+    by_value = [(full & ~row, row) for row in rows]
+    live = [
+        (img, full)
+        for img in itertools.product((0, 1), repeat=arity)
+        if full and img not in allowed
+    ]
+    return _preserved(by_value, arity, (), live)
+
+
+def _preserved(by_value, arity: int, prefix: tuple, live: list):
+    """Tuples extending ``prefix`` that no map sends to a disallowed image.
+
+    ``live`` holds each disallowed image whose prefix some map still
+    matches, with the nonzero mask of those maps.
+    """
+    j = len(prefix)
+    if not live:
+        for rest in itertools.product(range(len(by_value)), repeat=arity - j):
+            yield prefix + rest
+        return
+    if j == arity - 1:
+        last = [(maps, img[j]) for img, maps in live]
+        for x, sides in enumerate(by_value):
+            for maps, b in last:
+                if maps & sides[b]:
+                    break
+            else:
+                yield prefix + (x,)
+        return
+    for x, sides in enumerate(by_value):
+        nxt = []
+        for img, maps in live:
+            maps &= sides[img[j]]
+            if maps:
+                nxt.append((img, maps))
+        yield from _preserved(by_value, arity, prefix + (x,), nxt)
+
+
 def submasks(mask: int) -> Iterator[int]:
     """All submasks of ``mask`` (including 0 and ``mask`` itself)."""
     sub = mask

@@ -378,6 +378,28 @@ def ultimate_dual(oracle: BeaOracle, *, assume_axioms: bool = False) -> Ultimate
     return UltimateDual(fam, family_bea(fam))
 
 
+def _side_masks(halfspaces, points) -> tuple[list[int], list[int], int]:
+    """Induced linkage between subsets of ``points`` (indices into the
+    universe of ``halfspaces``), swept through halfspace-index masks.
+
+    Subset ``s`` of the points (bit ``i`` for ``points[i]``) gets
+    ``miss[s]``, the halfspaces not containing all of ``s``, and
+    ``hit[s]``, those meeting ``s``; then ``s ⋈ t`` iff
+    ``miss[s] | hit[t] == full``.
+    """
+    rows = [
+        mask_of(j for j, h in enumerate(halfspaces) if (h >> p) & 1)
+        for p in points
+    ]
+    full = (1 << len(halfspaces)) - 1
+    n = len(rows)
+    return (
+        subset_images(n, [full & ~row for row in rows]),
+        subset_images(n, rows),
+        full,
+    )
+
+
 def ultimate_bidual_report(
     oracle: BeaOracle, *, assume_axioms: bool = False
 ) -> dict:
@@ -386,7 +408,8 @@ def ultimate_bidual_report(
     The evaluation sends a point to the set of halfspaces containing it;
     the report checks injectivity, surjectivity onto the second dual's
     universe, and that linkage is transported exactly (swept over all
-    subset pairs, capped).
+    subset pairs, capped).  Induced linkage, on either side, is read off
+    per-subset halfspace masks; a table is read off its pairs.
     """
     ud = ultimate_dual(oracle, assume_axioms=assume_axioms)
     n = oracle.universe
@@ -409,11 +432,21 @@ def ultimate_bidual_report(
 
     guard("pair-axiom-sweep", n, "bidual linkage transport sweep")
     bifam = SetFamily(base=len(ud.carrier.sets), sets=second.sets)
-    bioracle = family_bea(bifam)
-    ev = subset_images(n, [1 << bifam.index[row] for row in rows])
-    untransported = pair_sweep(
-        n, lambda s, t: oracle.query(s, t) != bioracle.query(ev[s], ev[t])
+    bi_miss, bi_hit, bi_full = _side_masks(
+        family_bea(bifam).halfspaces, [bifam.index[row] for row in rows]
     )
+    if oracle.pairs is not None:
+        pairs = oracle.pairs
+        untransported = pair_sweep(
+            n, lambda s, t: ((s, t) in pairs) != (bi_miss[s] | bi_hit[t] == bi_full)
+        )
+    else:
+        miss, hit, full = _side_masks(oracle.halfspaces, range(n))
+        untransported = pair_sweep(
+            n,
+            lambda s, t: (miss[s] | hit[t] == full)
+            != (bi_miss[s] | bi_hit[t] == bi_full),
+        )
     counterexamples += [
         {"kind": "linkage", "s": sorted(bits(s)), "t": sorted(bits(t))}
         for s, t in untransported

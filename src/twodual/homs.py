@@ -1,13 +1,34 @@
-"""Enumeration of homomorphisms into two-element templates."""
+"""Enumeration of homomorphisms into two-element templates.
+
+The backtracking engine propagates over compiled constraints.  Each
+structure tuple is reduced to its distinct elements and a shape (which
+positions repeat which element), and each (shape, template relation) pair
+is compiled once per process into the allowed images over those elements.
+A constraint visit packs the known values of the tuple's elements into one
+state key and looks up either a contradiction or the values it forces.
+States are solved on first use, never tabulated up front, so memory grows
+with the template's own relations and with the states actually visited: at
+most ``3^k`` per compiled shape of ``k`` distinct elements.
+
+Separation reports sweep the point rows over the hom-set as bitsets: a
+non-tuple is reflected iff some disallowed image has a nonzero AND of the
+rows (or their complements) along it.
+"""
 
 from __future__ import annotations
 
-import itertools
+import functools
 import time
 from dataclasses import dataclass
 
 from .caps import get_cap, guard
-from .core import FiniteStructure, SetFamily, TwoTemplate, collisions
+from .core import (
+    FiniteStructure,
+    SetFamily,
+    TwoTemplate,
+    collisions,
+    preserved_tuples,
+)
 from .errors import (
     HomLimitExceeded,
     InputError,
@@ -37,17 +58,85 @@ class SeparationReport:
 
 
 def _constraints(structure: FiniteStructure, template: TwoTemplate):
-    """(tuple, allowed-set) constraints, grouped per universe element."""
+    """Every (tuple, allowed-set) constraint, for the brute-force engine."""
+    return [
+        (t, template.structure.rel(sym.name))
+        for sym in structure.signature.symbols
+        for t in structure.rel(sym.name)
+    ]
+
+
+class _Shape(dict):
+    """One template relation compiled against one tuple shape.
+
+    The shape lists, per tuple position, the index of its element among
+    the tuple's distinct elements (``(x, x, y)`` has shape ``(0, 0, 1)``).
+    ``patterns`` are the allowed images as bit patterns over the distinct
+    elements.  The dict maps a packed state of those elements, two bits
+    each with the first element highest (``00`` free, ``01`` is 0, ``10``
+    is 1), to ``None`` on a contradiction or else to the ``(element index,
+    value)`` pairs it forces.  States are solved on first lookup, so at
+    most ``3^k`` are ever stored for ``k`` distinct elements.
+    """
+
+    def __init__(self, shape: tuple[int, ...], allowed: frozenset):
+        super().__init__()
+        self.width = max(shape) + 1
+        patterns = set()
+        for img in allowed:
+            if len(img) != len(shape) or not set(img) <= {0, 1}:
+                continue
+            p = 0
+            for j, b in zip(shape, img):
+                p |= b << j
+            if all((p >> j) & 1 == b for j, b in zip(shape, img)):
+                patterns.add(p)
+        self.patterns = tuple(patterns)
+
+    def __missing__(self, key: int):
+        k = self.width
+        known = vals = 0
+        for i in range(k):
+            code = (key >> 2 * (k - 1 - i)) & 3
+            if code:
+                known |= 1 << i
+                if code == 2:
+                    vals |= 1 << i
+        ones = zeros = ((1 << k) - 1) & ~known
+        viable = False
+        for p in self.patterns:
+            if p & known == vals:
+                viable = True
+                ones &= p
+                zeros &= ~p
+        forced = None
+        if viable:
+            forced = tuple(
+                (i, (ones >> i) & 1)
+                for i in range(k)
+                if ((ones | zeros) >> i) & 1
+            )
+        self[key] = forced
+        return forced
+
+
+@functools.cache
+def _compiled(shape: tuple[int, ...], allowed: frozenset) -> _Shape:
+    return _Shape(shape, allowed)
+
+
+def _compile(structure: FiniteStructure, template: TwoTemplate):
+    """(distinct elements, compiled shape) constraints, grouped per
+    universe element."""
     per_element = [[] for _ in range(structure.size)]
-    flat = []
     for sym in structure.signature.symbols:
         allowed = template.structure.rel(sym.name)
         for t in structure.rel(sym.name):
-            entry = (t, allowed)
-            flat.append(entry)
-            for e in set(t):
+            elems = tuple(dict.fromkeys(t))
+            entry = (elems, _compiled(tuple(map(elems.index, t)), allowed))
+            for e in elems:
                 per_element[e].append(entry)
-    return flat, per_element
+    return per_element
 
 
 def _seed_assignment(structure, template):
@@ -85,8 +174,10 @@ def enumerate_homs(
     """All homomorphisms ``structure -> template``.
 
     ``method`` selects the engine: ``"backtrack"`` (default; constraint
-    propagation over forced values) or ``"brute"`` (tries every one of the
-    ``2^n`` maps; independent cross-check, capped).  ``limit`` bounds the
+    propagation over forced values, each constraint visit one lookup in
+    its compiled shape, see the module notes for the memory it keeps) or
+    ``"brute"`` (tries every one of the ``2^n`` maps; independent
+    cross-check, capped).  ``limit`` bounds the
     number of homs (default: the ``hom-limit`` cap); ``budget`` is a
     wall-clock allowance in seconds.
     """
@@ -94,7 +185,6 @@ def enumerate_homs(
         raise SignatureMismatch("structure and template signatures differ")
     if limit is None:
         limit = get_cap("hom-limit")
-    flat, per_element = _constraints(structure, template)
     seed = _seed_assignment(structure, template)
 
     n = structure.size
@@ -103,6 +193,7 @@ def enumerate_homs(
 
     if method == "brute":
         guard("hom-brute-universe", n, "brute-force hom enumeration")
+        flat = _constraints(structure, template)
         for mask in range(1 << n):
             if deadline is not None and mask % 1024 == 0:
                 if time.monotonic() > deadline:
@@ -121,6 +212,7 @@ def enumerate_homs(
         raise InputError(f"unknown hom enumeration method {method!r}")
     if seed is None:
         return HomSet(n, template, SetFamily(base=n, sets=()))
+    per_element = _compile(structure, template)
 
     # Static order: most-constrained element first.
     degree = [len(per_element[x]) for x in range(n)]
@@ -135,26 +227,18 @@ def enumerate_homs(
         queue = [start]
         while queue:
             y = queue.pop()
-            for t, allowed in per_element[y]:
-                free = sorted({e for e in t if h[e] < 0})
-                if not free:
-                    if tuple(h[e] for e in t) not in allowed:
-                        return False
-                    continue
-                viable = []
-                for combo in itertools.product((0, 1), repeat=len(free)):
-                    fill = dict(zip(free, combo))
-                    img = tuple(h[e] if h[e] >= 0 else fill[e] for e in t)
-                    if img in allowed:
-                        viable.append(combo)
-                if not viable:
+            for elems, shape in per_element[y]:
+                state = 0
+                for e in elems:
+                    state = state << 2 | (h[e] + 1)
+                forced = shape[state]
+                if forced is None:
                     return False
-                for pos, e in enumerate(free):
-                    vals = {combo[pos] for combo in viable}
-                    if len(vals) == 1:
-                        h[e] = vals.pop()
-                        trail.append(e)
-                        queue.append(e)
+                for i, v in forced:
+                    e = elems[i]
+                    h[e] = v
+                    trail.append(e)
+                    queue.append(e)
         return True
 
     # Constants may already clash with a constraint; validate the seed.
@@ -210,7 +294,8 @@ def is_separated(
     hs = homset or enumerate_homs(structure, template)
     fam = hs.homs
     n = structure.size
-    clashes = collisions(fam.point_row(x) for x in range(n))
+    rows = [fam.point_row(x) for x in range(n)]
+    clashes = collisions(rows)
     unreflected = []
     guard("induced-product", max(n, 2) ** max(
         (s.arity for s in structure.signature.symbols), default=1
@@ -218,13 +303,11 @@ def is_separated(
     for sym in structure.signature.symbols:
         have = structure.rel(sym.name)
         allowed = template.structure.rel(sym.name)
-        for t in itertools.product(range(n), repeat=sym.arity):
-            if t in have:
-                continue
-            if all(
-                tuple((m >> e) & 1 for e in t) in allowed for m in fam.sets
-            ):
-                unreflected.append((sym.name, t))
+        unreflected += [
+            (sym.name, t)
+            for t in preserved_tuples(rows, len(fam.sets), sym.arity, allowed)
+            if t not in have
+        ]
     return SeparationReport(
         separated=not clashes and not unreflected,
         collisions=clashes,

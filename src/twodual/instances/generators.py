@@ -16,7 +16,7 @@ import itertools
 
 from ..bea import BeaOracle, family_bea
 from ..convexity import BiConvexity, biconvexity_from_bea
-from ..core import FiniteStructure, SetFamily, bits
+from ..core import FiniteStructure, SetFamily, bits, mask_of, preserved_tuples
 from ..errors import EmptyUniverse, InputError, UniverseTooLarge
 from ..rng import SplitMix64
 from .catalog import ORACLE_TEMPLATES, oracle_template, template
@@ -599,46 +599,59 @@ def nonnormal_planar() -> BiConvexity:
 def _closure_under_ops(
     vectors: set[tuple], temp, k: int, max_size: int
 ) -> set[tuple] | None:
-    ops = [s for s in temp.signature.symbols if s.functional]
-    graphs = {s.name: temp.structure.op(s.name) for s in ops}
+    """Close ``vectors`` under the template operations, coordinatewise;
+    None once the closure outgrows ``max_size``.
+
+    Semi-naive: each popped vector is combined only in argument tuples
+    that contain it, since tuples of earlier vectors were taken when the
+    last of them was popped.
+    """
+    ops = [
+        (temp.structure.op(s.name), s.arity - 1)
+        for s in temp.signature.symbols
+        if s.functional
+    ]
     frontier = list(vectors)
     while frontier:
         if len(vectors) > max_size:
             return None
-        frontier.pop()
-        for s in ops:
-            graph = graphs[s.name]
-            arity = s.arity - 1
-            for args in itertools.product(sorted(vectors), repeat=arity):
-                out = tuple(
-                    graph[tuple(v[c] for v in args)] for c in range(k)
-                )
-                if out not in vectors:
-                    vectors.add(out)
-                    frontier.append(out)
+        v = frontier.pop()
+        known = sorted(vectors)
+        older = [w for w in known if w != v]
+        for graph, arity in ops:
+            # Each tuple once: position i is the first to hold v.
+            for i in range(arity):
+                for args in itertools.product(
+                    *[older] * i, (v,), *[known] * (arity - i - 1)
+                ):
+                    out = tuple(
+                        graph[tuple(w[c] for w in args)] for c in range(k)
+                    )
+                    if out not in vectors:
+                        vectors.add(out)
+                        frontier.append(out)
     return vectors if len(vectors) <= max_size else None
 
 
 def _power_substructure(vectors: list[tuple], temp) -> FiniteStructure:
-    n = len(vectors)
     k = len(vectors[0])
-    tuples = {}
-    for s in temp.signature.symbols:
-        rel = temp.structure.rel(s.name)
-        good = frozenset(
-            combo
-            for combo in itertools.product(range(n), repeat=s.arity)
-            if all(
-                tuple(vectors[i][c] for i in combo) in rel for c in range(k)
-            )
+    # Coordinate projections are the maps that must preserve each tuple.
+    rows = [mask_of(c for c in range(k) if v[c]) for v in vectors]
+    tuples = {
+        s.name: frozenset(
+            preserved_tuples(rows, k, s.arity, temp.structure.rel(s.name))
         )
-        tuples[s.name] = good
+        for s in temp.signature.symbols
+    }
     constants = {}
     for name in temp.signature.constants:
         v = temp.structure.constants[name]
         constants[name] = vectors.index((v,) * k)
     return FiniteStructure(
-        signature=temp.signature, size=n, tuples=tuples, constants=constants
+        signature=temp.signature,
+        size=len(vectors),
+        tuples=tuples,
+        constants=constants,
     )
 
 

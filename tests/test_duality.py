@@ -19,9 +19,15 @@ from twodual import (
     ultimate_bidual_report,
     ultimate_dual,
 )
-from twodual.core import FiniteStructure
-from twodual.errors import AxiomsFail, S1Violation, SignatureMismatch
+from twodual.core import FiniteStructure, bits
+from twodual.errors import (
+    AxiomsFail,
+    EmptyUniverse,
+    S1Violation,
+    SignatureMismatch,
+)
 from twodual.instances import chain_interval_space, gen_posets, template
+from twodual.rng import SplitMix64
 
 
 def chain_lattice(n):
@@ -167,6 +173,79 @@ def test_ultimate_bidual_report_lists_untransported_pairs_in_order():
         {"kind": "linkage", "s": [1, 2], "t": [2, 3]},
     ]
     assert rep["sizes"] == {"X": 4, "Xstar": 8, "Xbidual": 4}
+
+
+def test_transport_sweep_agrees_on_induced_and_table_oracles():
+    # The sweep reads an induced oracle through halfspace masks and a table
+    # through its pairs; both must give the same report, in the same order.
+    rng = SplitMix64(20261018)
+    kinds = set()
+    for _ in range(60):
+        base = rng.randint(1, 5)
+        members = {rng.mask(base) for _ in range(rng.randint(1, 6))}
+        full = (1 << base) - 1
+        zero, one = rng.below(2) and 0 in members, rng.below(2) and full in members
+        fam = SetFamily(
+            base=base,
+            sets=tuple(sorted(members)),
+            has_empty_as_zero=zero,
+            has_base_as_one=one,
+        )
+        induced = family_bea(fam)
+        rep = ultimate_bidual_report(induced)
+        assert rep == ultimate_bidual_report(oracle_to_table(induced))
+        # Halfspace lists that need not satisfy the axioms.
+        n = rng.randint(1, 4)
+        loose = BeaOracle.from_halfspaces(
+            n, [rng.mask(n) for _ in range(rng.randint(0, 3))]
+        )
+        if not all_halfspaces(loose).sets:
+            continue  # no dual to take
+        rep = ultimate_bidual_report(loose, assume_axioms=True)
+        table = oracle_to_table(loose)
+        assert rep == ultimate_bidual_report(table, assume_axioms=True)
+        kinds |= {c["kind"] for c in rep["counterexamples"]}
+    assert kinds == {"collision"}
+
+
+def reference_untransported(oracle):
+    """Linkage counterexamples by querying both oracles on every subset
+    pair (the sweep `ultimate_bidual_report` ran before its masks)."""
+    ud = ultimate_dual(oracle, assume_axioms=True)
+    second = all_halfspaces(ud.oracle).sets
+    bi = family_bea(SetFamily(base=len(ud.carrier.sets), sets=second))
+    n = oracle.universe
+    ev = [1 << second.index(ud.carrier.point_row(x)) for x in range(n)]
+
+    def image(s):
+        return sum(ev[x] for x in range(n) if s >> x & 1)
+
+    return [
+        {"kind": "linkage", "s": sorted(bits(s)), "t": sorted(bits(t))}
+        for s in range(1 << n)
+        for t in range(1 << n)
+        if oracle.query(s, t) != bi.query(image(s), image(t))
+    ]
+
+
+def test_transport_sweep_matches_the_query_sweep_on_damaged_tables():
+    rng = SplitMix64(7)
+    found = 0
+    for _ in range(40):
+        base = rng.randint(2, 4)
+        members = {rng.mask(base) for _ in range(rng.randint(2, 4))}
+        fam = SetFamily(base=base, sets=tuple(sorted(members)))
+        pairs = sorted(oracle_to_table(family_bea(fam)).pairs)
+        kept = [p for p in pairs if rng.below(8)]
+        table = BeaOracle.from_table(len(members), kept)
+        try:
+            rep = ultimate_bidual_report(table, assume_axioms=True)
+        except (AssertionError, EmptyUniverse):
+            continue  # the evaluation left the second dual, or no dual
+        linkage = [c for c in rep["counterexamples"] if c["kind"] == "linkage"]
+        assert linkage == reference_untransported(table)
+        found += bool(linkage)
+    assert found >= 5
 
 
 def test_oracle_from_homs_carries_template_constants():

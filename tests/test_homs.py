@@ -5,9 +5,16 @@ import itertools
 import pytest
 
 from twodual import HomLimitExceeded, bits, enumerate_homs, is_separated
-from twodual.caps import ACTIVE_CAPS
-from twodual.core import FiniteStructure, Signature, Symbol
-from twodual.instances import gen_posets, minimal_betweenness, template
+from twodual.caps import ACTIVE_CAPS, get_cap
+from twodual.core import FiniteStructure, SetFamily, Signature, Symbol
+from twodual.homs import HomSet
+from twodual.instances import (
+    gen_posets,
+    gen_separated_instances,
+    minimal_betweenness,
+    template,
+)
+from twodual.instances.catalog import TEMPLATES
 from twodual.rng import SplitMix64
 
 
@@ -34,6 +41,50 @@ def reference_homs(structure, temp):
         if ok:
             out.append(mask)
     return out
+
+
+def reference_separation(structure, temp, masks):
+    """Collisions and unreflected non-tuples, testing every hom against
+    every non-tuple (the sweep `is_separated` ran before its bitset)."""
+    n = structure.size
+    rows = [tuple((m >> x) & 1 for m in masks) for x in range(n)]
+    clashes = tuple(
+        (rows.index(rows[x]), x) for x in range(n) if rows.index(rows[x]) != x
+    )
+    unreflected = []
+    for sym in structure.signature.symbols:
+        have = structure.rel(sym.name)
+        allowed = temp.structure.rel(sym.name)
+        for t in itertools.product(range(n), repeat=sym.arity):
+            if t in have:
+                continue
+            if all(tuple((m >> e) & 1 for e in t) in allowed for m in masks):
+                unreflected.append((sym.name, t))
+    return clashes, tuple(unreflected)
+
+
+def random_structure(rng, sig, n, model=None):
+    """Random tuples for every symbol (functional ones need not be
+    functions), often with a repeated element such as ``(x, x, y)``, and
+    random constants.  Given a ``model`` of size ``n``, keep a random part
+    of its tuples as well."""
+    tuples = {}
+    for sym in sig.symbols:
+        rows = {
+            tuple(rng.below(n) for _ in range(sym.arity))
+            for _ in range(rng.randint(0, n))
+        }
+        if model is not None:
+            rows |= {t for t in model.rel(sym.name) if rng.below(4)}
+        if rng.below(2):
+            t = [rng.below(n) for _ in range(sym.arity)]
+            t[rng.below(sym.arity)] = t[rng.below(sym.arity)]
+            rows.add(tuple(t))
+        tuples[sym.name] = rows
+    constants = dict(model.constants) if model is not None else {}
+    if model is None or not rng.below(4):
+        constants = {c: rng.below(n) for c in sig.constants}
+    return FiniteStructure(sig, n, tuples, constants)
 
 
 def test_two_chain_homs_into_the_order_template():
@@ -134,3 +185,66 @@ def test_pure_set_template_accepts_every_map():
     x = FiniteStructure(free.signature, 3, {"eq": [(i, i) for i in range(3)]})
     hs = enumerate_homs(x, free)
     assert len(hs.homs) == 8
+
+
+def test_backtracking_matches_brute_force_on_every_template():
+    rng = SplitMix64(20261018)
+    cap = get_cap("hom-brute-universe")
+    for name in sorted(TEMPLATES):
+        temp = template(name)
+        models = gen_separated_instances(name, 10, seed=9, max_size=10)
+        cases = [random_structure(rng, temp.signature, m.size, m) for m in models]
+        cases += [
+            random_structure(rng, temp.signature, n)
+            for n in list(range(1, 11)) * 2
+        ]
+        for x in cases:
+            fast = enumerate_homs(x, temp).homs.sets
+            slow = enumerate_homs(x, temp, method="brute").homs.sets
+            assert fast == slow, (name, x.tuples, x.constants)
+    # One structure at the brute-force cap itself.
+    temp = template("semilattice01")
+    x = random_structure(rng, temp.signature, cap)
+    fast = enumerate_homs(x, temp).homs.sets
+    assert fast == enumerate_homs(x, temp, method="brute").homs.sets
+
+
+def test_repeated_elements_compile_to_their_diagonal():
+    # meet(x, x, y) holds only when y is x: with x = 1 forced by the
+    # constant, every hom sends y to 1 as well.
+    temp = template("semilattice01")
+    x = FiniteStructure(
+        temp.signature, 3, {"meet": {(2, 2, 1)}}, {"zero": 0, "one": 2}
+    )
+    assert enumerate_homs(x, temp).homs.sets == (0b110,)
+    # between(x, y, x) forces y to x in the natural betweenness.
+    nat = template("natural_betweenness")
+    y = FiniteStructure(nat.signature, 2, {"between": {(0, 1, 0)}})
+    assert enumerate_homs(y, nat).homs.sets == (0b00, 0b11)
+
+
+def test_is_separated_matches_the_per_hom_sweep():
+    rng = SplitMix64(4)
+    sig = Signature((Symbol("leq", 2),))
+    cycle = FiniteStructure(sig, 2, {"leq": [(0, 0), (1, 1), (0, 1), (1, 0)]})
+    cases = [(cycle, template("order"))]
+    for name in sorted(TEMPLATES):
+        temp = template(name)
+        cases += [(x, temp) for x in gen_separated_instances(name, 4, seed=12)]
+        cases += [
+            (random_structure(rng, temp.signature, rng.randint(1, 6)), temp)
+            for _ in range(12)
+        ]
+    unseparated = 0
+    for x, temp in cases:
+        homs = enumerate_homs(x, temp).homs
+        # Every other hom as well, so that fewer homs leave more unreflected.
+        fewer = SetFamily(base=homs.base, sets=homs.sets[::2])
+        for fam in (homs, fewer):
+            rep = is_separated(x, temp, homset=HomSet(x.size, temp, fam))
+            clashes, unreflected = reference_separation(x, temp, fam.sets)
+            assert rep.collisions == clashes
+            assert rep.unreflected == unreflected
+            assert rep.separated == (not clashes and not unreflected)
+            unseparated += not rep.separated
+    assert unseparated > len(cases) // 2

@@ -1,5 +1,8 @@
 """Catalog templates, instance generators, and their counting cross-checks."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from twodual import family_bea, is_halfspace, separate
@@ -26,7 +29,11 @@ from twodual.instances import (
     template,
     template_names,
 )
+from twodual.instances.catalog import TEMPLATES
+from twodual.instances.generators import _closure_under_ops
 from twodual.instances.verifiers import _filter_form_agrees, _filter_nesting
+from twodual.jsonio import dumps, structure_to_json
+from twodual.rng import SplitMix64
 
 
 def test_every_catalog_template_is_a_valid_two_element_structure():
@@ -179,6 +186,77 @@ def test_separated_instances_are_separated():
         t = template(name)
         for x in gen_separated_instances(name, 6, seed=13):
             assert is_separated(x, t).separated
+
+
+# Sizes and the sha256 prefix of the canonical documents of
+# gen_separated_instances(name, 8, seed, max_size=...), recorded before the
+# closure became semi-naive.
+SEPARATED_INSTANCE_PINS = {
+    ("betweenness_s0", 13, 5): ((3, 4, 2, 3, 5, 3, 3, 3), "234c2b7ef3e017c6"),
+    ("betweenness_s0", 2026, 8): ((4, 2, 3, 2, 5, 5, 6, 4), "2e701a0f261b7172"),
+    ("boolean_algebra", 13, 5): ((4, 4, 4, 4, 4, 4, 4, 4), "8ddee880cc11939e"),
+    ("boolean_algebra", 2026, 8): ((4, 8, 4, 8, 8, 8, 8, 4), "4634504d5e12b5fa"),
+    ("bounded_lattice", 13, 5): ((3, 4, 5, 4, 5, 5, 3, 5), "0048b5f2b4830c36"),
+    ("bounded_lattice", 2026, 8): ((3, 5, 4, 6, 7, 6, 8, 6), "3a8af05136c3d46a"),
+    ("natural_betweenness", 13, 5): ((3, 4, 2, 3, 5, 3, 3, 3), "4fff3ad3956d0d25"),
+    ("natural_betweenness", 2026, 8): ((4, 2, 3, 2, 5, 5, 6, 4), "2b29e341986796cf"),
+    ("order", 13, 5): ((3, 4, 2, 3, 5, 3, 3, 3), "9978f90ea7b306bc"),
+    ("order", 2026, 8): ((4, 2, 3, 2, 5, 5, 6, 4), "0ee730489689f0b1"),
+    ("pure_set", 13, 5): ((3, 4, 2, 3, 5, 3, 3, 3), "8263b83396dc0395"),
+    ("pure_set", 2026, 8): ((4, 2, 3, 2, 5, 5, 6, 4), "c0da9796e3c0639b"),
+    ("semilattice", 13, 5): ((5, 5, 2, 4, 4, 3, 3, 5), "e9a0c785daecf072"),
+    ("semilattice", 2026, 8): ((6, 2, 4, 3, 8, 5, 8, 7), "5bd351ab2dc318d7"),
+    ("semilattice0", 13, 5): ((5, 5, 3, 4, 5, 3, 4, 5), "09014104dbc5ad4e"),
+    ("semilattice0", 2026, 8): ((6, 2, 4, 3, 8, 5, 8, 7), "3468e81be24b5d12"),
+    ("semilattice01", 13, 5): ((3, 4, 4, 5, 4, 5, 5, 3), "b58ca5a5fb0e04d0"),
+    ("semilattice01", 2026, 8): ((6, 3, 5, 4, 5, 8, 7, 6), "3ef178edf7342396"),
+}
+
+
+def test_separated_instances_are_pinned_for_every_template():
+    assert {name for name, _, _ in SEPARATED_INSTANCE_PINS} == set(TEMPLATES)
+    for (name, seed, max_size), pin in SEPARATED_INSTANCE_PINS.items():
+        xs = gen_separated_instances(name, 8, seed, max_size=max_size)
+        text = "\n".join(dumps(structure_to_json(x)) for x in xs)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert (tuple(x.size for x in xs), digest) == pin, (name, seed)
+
+
+def reference_closure(vectors, temp, k, max_size):
+    """Closure under the template operations by re-multiplying every
+    vector on each pop (the loop the semi-naive closure replaced)."""
+    ops = [s for s in temp.signature.symbols if s.functional]
+    frontier = list(vectors)
+    while frontier:
+        if len(vectors) > max_size:
+            return None
+        frontier.pop()
+        for s in ops:
+            graph = temp.structure.op(s.name)
+            for args in itertools.product(sorted(vectors), repeat=s.arity - 1):
+                out = tuple(graph[tuple(v[c] for v in args)] for c in range(k))
+                if out not in vectors:
+                    vectors.add(out)
+                    frontier.append(out)
+    return vectors if len(vectors) <= max_size else None
+
+
+def test_semi_naive_closure_matches_the_full_re_multiplication():
+    rng = SplitMix64(31)
+    outcomes = set()
+    for name in sorted(TEMPLATES):
+        temp = template(name)
+        for _ in range(40):
+            k = rng.randint(1, 5)
+            vectors = {
+                tuple(rng.below(2) for _ in range(k))
+                for _ in range(rng.randint(1, 4))
+            }
+            max_size = rng.randint(1, 12)
+            got = _closure_under_ops(set(vectors), temp, k, max_size)
+            assert got == reference_closure(set(vectors), temp, k, max_size)
+            outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_separated_oracle_instances_satisfy_the_core_axioms():
