@@ -122,6 +122,8 @@ class _Shape(dict):
 
 @functools.cache
 def _compiled(shape: tuple[int, ...], allowed: frozenset) -> _Shape:
+    """Kept for the life of the process, so the states solved for one
+    structure serve every later one with the same template relation."""
     return _Shape(shape, allowed)
 
 
