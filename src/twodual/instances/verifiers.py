@@ -13,6 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..bea import (
     BeaOracle,
+    _linked_bits,
     check_axiom,
     family_bea,
     is_halfspace,
@@ -29,6 +30,7 @@ from ..core import (
     subset_images,
 )
 from ..duality import (
+    _side_masks,
     bidual_and_evaluate,
     dual,
     hom_equivalence,
@@ -101,12 +103,14 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
     rows = filters.sets
     k = len(rows)
     guard("pair-axiom-sweep", k, "filter nesting sweep")
+    miss, hit, full = _side_masks(oracle.halfspaces, range(k))
     # up[s]: the filters containing some filter of s.
     up = subset_images(
         k, [mask_of(q for q in range(k) if r & ~rows[q] == 0) for r in rows]
     )
     witness = next(
-        pair_sweep(k, lambda s, t: oracle.query(s, t) != bool(up[s] & t)), None
+        pair_sweep(k, lambda s, t: (miss[s] | hit[t] == full) != bool(up[s] & t)),
+        None,
     )
     return witness is None, witness
 
@@ -307,10 +311,10 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
     """Rule (H) versus the order shorthand, on every pair with a nonempty
     left side: s ⋈ t iff t meets the principal filter of ⋀s.  (The empty
     left side is where the shorthand is ambiguous, so it is excluded.)"""
-    oracle = BeaOracle.from_halfspaces(x.size, masks)
     meet = x.op("meet")
     n = x.size
     guard("pair-axiom-sweep", n, "filter form sweep")
+    miss, hit, full = _side_masks(masks, range(n))
     up = [
         mask_of(e for e in range(n) if meet[p, e] == p) for p in range(n)
     ]
@@ -319,7 +323,8 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
         for s in range(1, 1 << n)
     ]
     disagree = pair_sweep(
-        n, lambda s, t: s and oracle.query(s, t) != bool(t & principal[s])
+        n,
+        lambda s, t: s and (miss[s] | hit[t] == full) != bool(t & principal[s]),
     )
     return next(disagree, None) is None
 
@@ -629,6 +634,32 @@ def make_transit_fixture(oracle: BeaOracle) -> tuple:
     raise ValueError("oracle has no removable transit conclusion")
 
 
+def _sample_unlinked_pairs(
+    oracle: BeaOracle, rng: SplitMix64, pairs_per: int
+) -> list[tuple[int, int]]:
+    """``(0, 0)`` and then the first distinct non-linked pairs ``(s, t)``
+    drawn as ``rng.mask(n), rng.mask(n)``, up to ``pairs_per`` pairs or
+    ``40 * pairs_per`` draws.  The pairs still to find are one ``4^n``-bit
+    set over ``x = s << n | t``, held as bytes so that each draw is one
+    bit test whatever ``n``; drawing stops once none is left."""
+    n = oracle.universe
+    guard("pair-axiom-sweep", n, "pasch pair sampling")
+    unlinked = ~_linked_bits(oracle) & ((1 << (1 << 2 * n)) - 2)
+    left = unlinked.bit_count()
+    todo = bytearray(unlinked.to_bytes(((1 << 2 * n) + 7) >> 3, "little"))
+    found = [(0, 0)]
+    attempts = 0
+    while left and len(found) < pairs_per and attempts < 40 * pairs_per:
+        attempts += 1
+        s, t = rng.mask(n), rng.mask(n)
+        x = s << n | t
+        if todo[x >> 3] >> (x & 7) & 1:
+            found.append((s, t))
+            todo[x >> 3] ^= 1 << (x & 7)
+            left -= 1
+    return found
+
+
 def verify_pasch(
     samples: int = 500,
     *,
@@ -644,17 +675,8 @@ def verify_pasch(
 
     def check(args) -> dict:
         oracle, pseed = args
-        local = SplitMix64(pseed)
         n = oracle.universe
-        found = [(0, 0)]
-        seen = set(found)
-        attempts = 0
-        while len(found) < pairs_per and attempts < 40 * pairs_per:
-            attempts += 1
-            pair = local.mask(n), local.mask(n)
-            if pair not in seen and not oracle.query(*pair):
-                found.append(pair)
-                seen.add(pair)
+        found = _sample_unlinked_pairs(oracle, SplitMix64(pseed), pairs_per)
         bad = None
         for (s, t) in found:
             try:
@@ -746,23 +768,17 @@ def verify_ultimate(
             if time.monotonic() > deadline:
                 return {"outcome": "timeout", "pass": True}
             try:
-                if _is_oracle:
-                    oracle = inst
-                    n = oracle.universe
-                    dual_size = len(oracle.halfspaces)
-                else:
-                    homset = enumerate_homs(inst, template(_name))
-                    n = inst.size
-                    dual_size = len(homset.homs)
-                    oracle = oracle_from_homs(inst, template(_name))
-                if dual_size > 64:
+                oracle = (
+                    inst if _is_oracle else oracle_from_homs(inst, template(_name))
+                )
+                if len(oracle.halfspaces) > 64:
                     return {"outcome": "skipped_large", "pass": True}
                 report = ultimate_bidual_report(oracle)
             except TimeoutExceeded:
                 return {"outcome": "timeout", "pass": True}
             return {
                 "outcome": "checked",
-                "n": n,
+                "n": oracle.universe,
                 "sizes": report["sizes"],
                 "counterexamples": report["counterexamples"],
                 "pass": report["pass"],

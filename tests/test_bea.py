@@ -27,9 +27,9 @@ from twodual import (
     require_axioms,
     separate,
 )
-from twodual.bea import _i3_failures, _report
+from twodual.bea import _i3_failures, _index_masks, _linked_bits, _report
 from twodual.convexity import bea_from_biconvexity
-from twodual.core import SetFamily
+from twodual.core import SetFamily, mask_of
 from twodual.errors import EmptyUniverse, InputError
 from twodual.instances import verifiers
 from twodual.instances.generators import gen_biconvexity
@@ -437,3 +437,29 @@ def test_bitset_i3_matches_the_pair_join_on_crosscheck_tables():
     assert small and large
     for oracle in small + large[:1]:
         _assert_i3_matches_the_join(oracle)
+
+
+def test_index_masks_and_the_linkage_bitset_match_their_definitions():
+    rng = SplitMix64(17)
+    for n in range(1, 8):
+        size = 1 << 2 * n
+        ones = (1 << size) - 1
+        with_bit, _ = _index_masks(n)
+        # The repunit form the doubling build replaced.
+        assert with_bit == tuple(
+            ones // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+            for j in range(2 * n)
+        )
+        if n > 4:
+            continue
+        for j, mask in enumerate(with_bit):
+            assert mask == mask_of(x for x in range(size) if x >> j & 1)
+        full = (1 << n) - 1
+        for count in range(5):
+            induced = BeaOracle.from_halfspaces(
+                n, [rng.mask(n) for _ in range(count)]
+            )
+            for oracle in (induced, oracle_to_table(induced)):
+                assert _linked_bits(oracle) == mask_of(
+                    x for x in range(size) if oracle.query(x >> n, x & full)
+                )

@@ -1,10 +1,11 @@
 """Command line behavior: exit codes, output documents, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from twodual import BeaOracle, SetFamily, family_bea, oracle_to_table
+from twodual import BeaOracle, SetFamily, caps, family_bea, oracle_to_table
 from twodual.cli import main
 from twodual.core import FiniteStructure
 from twodual.instances import make_transit_fixture, template
@@ -230,6 +231,32 @@ def test_verify_rejects_a_max_size_its_suite_cannot_draw(capsys):
                  "--samples", "1", "--threads", "1"])
     assert code == 2
     assert "--max-size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (["--max-size", "5"],
+         "318d6d85d450fa6e750ec83788123341b2ca6f07a62813de5d02cef109563f8f"),
+        ([], "cf72672e14f32c91b857b5a6785f0218c1bca111b5dbff140fb4581cdfa956f8"),
+    ],
+    ids=["max-size-5", "default"],
+)
+def test_verify_pasch_report_is_pinned(extra, digest, capsys):
+    # Recorded before the pair sampler moved to a bitset of unlinked pairs.
+    assert main(["verify", "--suite", "pasch", *extra, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_pasch_pair_sampling_is_capped(monkeypatch, capsys):
+    # The sampler holds a 4^n-bit set, so universes past pair-axiom-sweep
+    # are refused rather than sampled.
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", 3)
+    code = main(["verify", "--suite", "pasch", "--max-size", "5",
+                 "--samples", "10", "--threads", "1"])
+    assert code == 3
+    assert "pair-axiom-sweep" in capsys.readouterr().err
 
 
 def test_gen_is_deterministic(capsys):

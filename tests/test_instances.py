@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from twodual import family_bea, is_halfspace, separate
+from twodual import BeaOracle, family_bea, is_halfspace, oracle_to_table, separate
 from twodual.bea import check_axiom
 from twodual.core import FiniteStructure, SetFamily, Symbol, validate
 from twodual.errors import InputError, PaschFailure
@@ -31,7 +31,11 @@ from twodual.instances import (
 )
 from twodual.instances.catalog import TEMPLATES
 from twodual.instances.generators import _closure_under_ops
-from twodual.instances.verifiers import _filter_form_agrees, _filter_nesting
+from twodual.instances.verifiers import (
+    _filter_form_agrees,
+    _filter_nesting,
+    _sample_unlinked_pairs,
+)
 from twodual.jsonio import dumps, structure_to_json
 from twodual.rng import SplitMix64
 
@@ -309,6 +313,12 @@ def test_filter_nesting_sweep_reports_the_first_disagreement():
     # although nothing on the left is nested in it.
     got = _filter_nesting(SetFamily(base=3, sets=(0b001, 0b011, 0b111, 0b110)))
     assert got == (False, (0b0000, 0b0100))
+    # Without a covering member the empty side never links; these first
+    # disagreements have a nonempty left side.
+    got = _filter_nesting(SetFamily(base=5, sets=(2, 6, 10, 12)))
+    assert got == (False, (0b0010, 0b1001))
+    got = _filter_nesting(SetFamily(base=5, sets=(5, 9, 11, 13, 15)))
+    assert got == (False, (0b00101, 0b00010))
 
 
 def test_filter_form_sweep_on_semilattice_homs():
@@ -318,3 +328,56 @@ def test_filter_form_sweep_on_semilattice_homs():
         assert _filter_form_agrees(x, masks)
         # With no halfspaces every pair links, so the shorthand disagrees.
         assert not _filter_form_agrees(x, ())
+
+
+def reference_unlinked_pairs(oracle, rng, pairs_per):
+    """The pasch pair sampling as it was before the bitset: a query per
+    draw and a set of the pairs seen.  Also returns the draws made."""
+    n = oracle.universe
+    found = [(0, 0)]
+    seen = set(found)
+    attempts = 0
+    while len(found) < pairs_per and attempts < 40 * pairs_per:
+        attempts += 1
+        pair = rng.mask(n), rng.mask(n)
+        if pair not in seen and not oracle.query(*pair):
+            found.append(pair)
+            seen.add(pair)
+    return found, attempts
+
+
+def test_pair_sampler_matches_the_query_loop():
+    oracles = random_oracle_instances(240, 41, max_universe=8)
+    assert {o.universe for o in oracles} == set(range(2, 9))
+    # Tables, and oracles with no unlinked pair besides (0, 0), or none.
+    oracles += [oracle_to_table(o) for o in oracles[:40] if o.universe <= 5]
+    oracles += [
+        BeaOracle.from_halfspaces(3, ()),
+        BeaOracle.from_halfspaces(4, (0,)),
+        BeaOracle.from_halfspaces(2, (0b01, 0b10)),
+    ]
+    seeds = SplitMix64(42)
+    ends = set()
+    for oracle in oracles:
+        pseed = seeds.next_u64()
+        for pairs_per in (1, 2, 7, 50):
+            want, attempts = reference_unlinked_pairs(
+                oracle, SplitMix64(pseed), pairs_per
+            )
+            got = _sample_unlinked_pairs(oracle, SplitMix64(pseed), pairs_per)
+            assert got == want, (oracle, pairs_per)
+            if pairs_per < 50:
+                continue
+            full = (1 << oracle.universe) - 1
+            if len(want) == 50:
+                ends.add("filled")
+            elif all(
+                oracle.query(s, t) or (s, t) in want
+                for s in range(full + 1)
+                for t in range(full + 1)
+            ):
+                ends.add("ran out")
+            else:
+                assert attempts == 40 * pairs_per
+                ends.add("draw limit")
+    assert ends == {"filled", "draw limit", "ran out"}
