@@ -23,8 +23,9 @@ DEFAULT_CAPS = {
     # Universe bound for element-quantified axiom sweeps (i0, i2, i4, i5, c0, c1).
     "axiom-sweep": 14,
     # Universe bound for sweeps quantifying over subset *pairs*: the i4
-    # fallback sweep, the bidual transport sweep and the filter nesting /
-    # filter form sweeps of the verifiers (each visits 4^n pairs).  It also
+    # fallback sweep, the bidual transport sweep, the filter nesting /
+    # filter form sweeps of the verifiers (each visits 4^n pairs) and the
+    # pasch pair sampling (a 4^n-bit set of the non-linked pairs).  It also
     # picks the path of two checks: table i3 uses its 4^n-bit bitset, and
     # a failing induced i4 takes its witness from the sweep, only within it.
     "pair-axiom-sweep": 10,
