@@ -22,12 +22,12 @@ DEFAULT_CAPS = {
     "family-base": 64,
     # Universe bound for element-quantified axiom sweeps (i0, i2, i4, i5, c0, c1).
     "axiom-sweep": 14,
-    # Universe bound for sweeps quantifying over subset *pairs*: the i4
-    # fallback sweep, the bidual transport sweep, the filter nesting /
-    # filter form sweeps of the verifiers (each visits 4^n pairs) and the
-    # pasch pair sampling (a 4^n-bit set of the non-linked pairs).  It also
-    # picks the path of two checks: table i3 uses its 4^n-bit bitset, and
-    # a failing induced i4 takes its witness from the sweep, only within it.
+    # Universe bound for sweeps quantifying over subset *pairs*, each on
+    # 4^n-bit pair-index bitsets (see bea): the i4 fallback sweep, the
+    # bidual transport sweep, the filter nesting / filter form sweeps of
+    # the verifiers and the pasch pair sampling.  It also picks the path of
+    # two checks: table i3 uses its bitset, and a failing induced i4 takes
+    # its witness from the sweep, only within it.
     "pair-axiom-sweep": 10,
     # Universe bound for listing halfspaces analytically.
     "halfspace-universe": 64,

@@ -23,11 +23,14 @@ from .bea import (
     BeaOracle,
     check_axiom,
     complement,
+    linkage_bits,
+    pairs_of,
     require_axioms,
     singleton_links,
+    transversal_bits,
 )
 from .caps import get_cap, guard
-from .core import SetFamily, bits, pair_sweep, subset_images
+from .core import SetFamily, bits, subset_images
 from .errors import (
     InputError,
     MissingConstants,
@@ -150,7 +153,7 @@ def bea_from_biconvexity(space: BiConvexity, *, force: bool = False) -> BeaOracl
     guard("biconv-table", n, "transversal table")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
-    pairs = pair_sweep(n, lambda s, t: hu[s] & hl[t])
+    pairs = pairs_of(transversal_bits(n, hu, hl), n)
     return BeaOracle.from_table(
         n, pairs, zero=space.zero_elem, one=space.one_elem
     )
@@ -190,18 +193,18 @@ def check_pasch_convex(
     hl = [space.hull_lower(m) for m in range(1 << n)]
     points = [tuple(bits(m)) for m in range(1 << n)]
 
-    def broken(a0: int, b1: int) -> tuple | None:
-        """The first ``(p, q, r)`` whose conclusion fails at ``(a0, b1)``."""
-        for p in range(n):
-            bit = 1 << p
-            for q in points[hu[a0 | bit]]:
-                for r in points[hl[b1 | bit]]:
-                    if not hu[a0 | (1 << r)] & hl[b1 | (1 << q)]:
-                        return p, q, r
-        return None
+    def failures():
+        """Each ``(a0, b1, p, q, r)`` whose conclusion fails, in order."""
+        for a0 in range(1 << n):
+            for b1 in range(1 << n):
+                for p in range(n):
+                    bit = 1 << p
+                    for q in points[hu[a0 | bit]]:
+                        for r in points[hl[b1 | bit]]:
+                            if not hu[a0 | (1 << r)] & hl[b1 | (1 << q)]:
+                                yield a0, b1, p, q, r
 
-    first = next(pair_sweep(n, broken), None)
-    witness = None if first is None else first + broken(*first)
+    witness = next(failures(), None)
 
     run_cross = crosscheck == "always" or (
         crosscheck == "auto" and n <= get_cap("pasch-crosscheck")
@@ -245,8 +248,7 @@ def biconvexity_from_bea(
                 "hull operators are not idempotent", witness=(m,)
             )
     clash = next(
-        pair_sweep(n, lambda s, t: oracle.query(s, t) != bool(cu[s] & cl[t])),
-        None,
+        pairs_of(linkage_bits(oracle) ^ transversal_bits(n, cu, cl), n), None
     )
     if clash is not None:
         raise RoundTripFailure(
@@ -315,12 +317,11 @@ def check_complemented(space: BiConvexity) -> ComplementedReport:
             False, tuple(negation), tuple(missing), None, None
         )
     neg = subset_images(n, [1 << b for b in negation])
-    swap_witness = next(
-        pair_sweep(
-            n, lambda s, t: oracle.query(s, t) != oracle.query(neg[t], neg[s])
-        ),
-        None,
-    )
+    # ¬t ⋈ ¬s iff the upper hull of ¬t meets the lower hull of ¬s.
+    lower = [space.hull_lower(m) for m in neg]
+    upper = [space.hull_upper(m) for m in neg]
+    swapped = linkage_bits(oracle) ^ transversal_bits(n, lower, upper)
+    swap_witness = next(pairs_of(swapped, n), None)
     return ComplementedReport(
         True, tuple(negation), (), swap_witness is None, swap_witness
     )

@@ -50,17 +50,6 @@ def subset_images(n: int, point_masks) -> list[int]:
     return img
 
 
-def pair_sweep(n: int, pred) -> Iterator[tuple[int, int]]:
-    """The subset pairs ``(s, t)`` of ``0 .. n-1`` on which ``pred(s, t)``
-    holds, in increasing ``(s, t)`` order.  Callers take the first, all,
-    or a running minimum of what it yields."""
-    size = 1 << n
-    for s in range(size):
-        for t in range(size):
-            if pred(s, t):
-                yield s, t
-
-
 def collisions(rows) -> tuple[tuple[int, int], ...]:
     """Pairs ``(first, x)`` where ``rows[x]`` repeats the row first seen at
     index ``first``, in increasing ``x``."""

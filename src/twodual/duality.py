@@ -17,7 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bea import BeaOracle, all_halfspaces, family_bea, require_axioms
+from .bea import (
+    BeaOracle,
+    all_halfspaces,
+    family_bea,
+    linkage_bits,
+    pairs_of,
+    require_axioms,
+)
 from .caps import get_cap, guard
 from .core import (
     FiniteStructure,
@@ -26,8 +33,7 @@ from .core import (
     bits,
     collisions,
     mask_of,
-    pair_sweep,
-    subset_images,
+    preserved_tuples,
 )
 from .errors import (
     InputError,
@@ -84,15 +90,6 @@ class EvalReport:
         }
 
 
-def _apply_pointwise(op_graph: dict, arg_masks: tuple[int, ...], n: int) -> int:
-    out = 0
-    for x in range(n):
-        args = tuple((m >> x) & 1 for m in arg_masks)
-        if op_graph[args]:
-            out |= 1 << x
-    return out
-
-
 def dual(
     structure: FiniteStructure,
     template_d: TwoTemplate,
@@ -105,12 +102,13 @@ def dual(
     """The dual of ``structure`` under the pair ``(D, E)``.
 
     The carrier is ``hom(structure, D)``; the ``E``-structure is induced
-    from the power.  Functional symbols of ``E`` are applied pointwise and
-    the carrier must contain the result (else :class:`S1Violation`, with
-    the offending application as witness); likewise every constant of
-    ``E`` must name a member.  ``max_source`` / ``max_carrier`` override
-    the ``dual-source`` / ``dual-carrier`` caps for callers that knowingly
-    dualize larger instances.
+    from the power, computed on the hom masks as bitsets.  Functional
+    symbols of ``E`` are applied pointwise and the carrier must contain
+    the result (else :class:`S1Violation`, with the offending application
+    as witness); likewise every constant of ``E`` must name a member.
+    ``max_source`` / ``max_carrier`` override the ``dual-source`` /
+    ``dual-carrier`` caps for callers that knowingly dualize larger
+    instances.
     """
     n = structure.size
     src_cap = max_source if max_source is not None else get_cap("dual-source")
@@ -124,17 +122,25 @@ def dual(
 
     masks = carrier.homs.sets
     index = carrier.homs.index
+    full = (1 << n) - 1
+    # sides[i][v]: the source points that hom i sends to v.
+    sides = [(full & ~mask, mask) for mask in masks]
     sig_e = template_e.signature
     tuples: dict[str, set] = {}
     for sym in sig_e.symbols:
         rel_e = template_e.structure.rel(sym.name)
         if sym.functional:
-            graph = template_e.structure.op(sym.name)
+            # The result is 1 at a point iff the arguments' values there
+            # form a template row valued 1.
+            ones = [t[:-1] for t in rel_e if t[-1]]
             made = set()
             for args in itertools.product(range(m), repeat=sym.arity - 1):
-                out_mask = _apply_pointwise(
-                    graph, tuple(masks[i] for i in args), n
-                )
+                out_mask = 0
+                for row in ones:
+                    at = full
+                    for i, v in zip(args, row):
+                        at &= sides[i][v]
+                    out_mask |= at
                 if out_mask not in index:
                     raise S1Violation(sym.name, args, out_mask)
                 made.add(args + (index[out_mask],))
@@ -145,14 +151,8 @@ def dual(
                 max(m, 2) ** sym.arity,
                 f"induced relation {sym.name!r}",
             )
-            made = set()
-            for args in itertools.product(range(m), repeat=sym.arity):
-                if all(
-                    tuple((masks[i] >> x) & 1 for i in args) in rel_e
-                    for x in range(n)
-                ):
-                    made.add(args)
-            tuples[sym.name] = made
+            made = preserved_tuples(masks, n, sym.arity, rel_e)
+            tuples[sym.name] = set(made)
 
     constants = {}
     for cname in sig_e.constants:
@@ -378,28 +378,6 @@ def ultimate_dual(oracle: BeaOracle, *, assume_axioms: bool = False) -> Ultimate
     return UltimateDual(fam, family_bea(fam))
 
 
-def _side_masks(halfspaces, points) -> tuple[list[int], list[int], int]:
-    """Induced linkage between subsets of ``points`` (indices into the
-    universe of ``halfspaces``), swept through halfspace-index masks.
-
-    Subset ``s`` of the points (bit ``i`` for ``points[i]``) gets
-    ``miss[s]``, the halfspaces not containing all of ``s``, and
-    ``hit[s]``, those meeting ``s``; then ``s ⋈ t`` iff
-    ``miss[s] | hit[t] == full``.
-    """
-    rows = [
-        mask_of(j for j, h in enumerate(halfspaces) if (h >> p) & 1)
-        for p in points
-    ]
-    full = (1 << len(halfspaces)) - 1
-    n = len(rows)
-    return (
-        subset_images(n, [full & ~row for row in rows]),
-        subset_images(n, rows),
-        full,
-    )
-
-
 def ultimate_bidual_report(
     oracle: BeaOracle, *, assume_axioms: bool = False
 ) -> dict:
@@ -408,8 +386,8 @@ def ultimate_bidual_report(
     The evaluation sends a point to the set of halfspaces containing it;
     the report checks injectivity, surjectivity onto the second dual's
     universe, and that linkage is transported exactly (swept over all
-    subset pairs, capped).  Induced linkage, on either side, is read off
-    per-subset halfspace masks; a table is read off its pairs.
+    subset pairs, capped).  The second dual's halfspaces, pulled back
+    along the evaluation, induce the transported linkage on the source.
     """
     ud = ultimate_dual(oracle, assume_axioms=assume_axioms)
     n = oracle.universe
@@ -432,24 +410,17 @@ def ultimate_bidual_report(
 
     guard("pair-axiom-sweep", n, "bidual linkage transport sweep")
     bifam = SetFamily(base=len(ud.carrier.sets), sets=second.sets)
-    bi_miss, bi_hit, bi_full = _side_masks(
-        family_bea(bifam).halfspaces, [bifam.index[row] for row in rows]
+    evaluated = [bifam.index[row] for row in rows]
+    pulled = BeaOracle.from_halfspaces(
+        n,
+        [
+            mask_of(x for x, i in enumerate(evaluated) if h >> i & 1)
+            for h in family_bea(bifam).halfspaces
+        ],
     )
-    if oracle.pairs is not None:
-        pairs = oracle.pairs
-        untransported = pair_sweep(
-            n, lambda s, t: ((s, t) in pairs) != (bi_miss[s] | bi_hit[t] == bi_full)
-        )
-    else:
-        miss, hit, full = _side_masks(oracle.halfspaces, range(n))
-        untransported = pair_sweep(
-            n,
-            lambda s, t: (miss[s] | hit[t] == full)
-            != (bi_miss[s] | bi_hit[t] == bi_full),
-        )
     counterexamples += [
         {"kind": "linkage", "s": sorted(bits(s)), "t": sorted(bits(t))}
-        for s, t in untransported
+        for s, t in pairs_of(linkage_bits(oracle) ^ linkage_bits(pulled), n)
     ]
     return {
         "pass": not counterexamples,

@@ -13,12 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..bea import (
     BeaOracle,
-    _linked_bits,
     check_axiom,
     family_bea,
     is_halfspace,
+    linkage_bits,
     oracle_to_table,
+    pairs_of,
     separate,
+    transversal_bits,
 )
 from ..caps import guard
 from ..core import (
@@ -26,11 +28,9 @@ from ..core import (
     SetFamily,
     bits,
     mask_of,
-    pair_sweep,
     subset_images,
 )
 from ..duality import (
-    _side_masks,
     bidual_and_evaluate,
     dual,
     hom_equivalence,
@@ -103,15 +103,12 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
     rows = filters.sets
     k = len(rows)
     guard("pair-axiom-sweep", k, "filter nesting sweep")
-    miss, hit, full = _side_masks(oracle.halfspaces, range(k))
     # up[s]: the filters containing some filter of s.
     up = subset_images(
         k, [mask_of(q for q in range(k) if r & ~rows[q] == 0) for r in rows]
     )
-    witness = next(
-        pair_sweep(k, lambda s, t: (miss[s] | hit[t] == full) != bool(up[s] & t)),
-        None,
-    )
+    nested = transversal_bits(k, up, range(1 << k))
+    witness = next(pairs_of(linkage_bits(oracle) ^ nested, k), None)
     return witness is None, witness
 
 
@@ -314,7 +311,6 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
     meet = x.op("meet")
     n = x.size
     guard("pair-axiom-sweep", n, "filter form sweep")
-    miss, hit, full = _side_masks(masks, range(n))
     up = [
         mask_of(e for e in range(n) if meet[p, e] == p) for p in range(n)
     ]
@@ -322,11 +318,10 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
         up[functools.reduce(lambda p, e: meet[p, e], bits(s))]
         for s in range(1, 1 << n)
     ]
-    disagree = pair_sweep(
-        n,
-        lambda s, t: s and (miss[s] | hit[t] == full) != bool(t & principal[s]),
-    )
-    return next(disagree, None) is None
+    linked = linkage_bits(BeaOracle.from_halfspaces(n, masks))
+    disagree = linked ^ transversal_bits(n, principal, range(1 << n))
+    # Row s = 0, the indices below 2^n, is left out.
+    return not disagree >> (1 << n)
 
 
 def verify_hms(
@@ -644,7 +639,7 @@ def _sample_unlinked_pairs(
     bit test whatever ``n``; drawing stops once none is left."""
     n = oracle.universe
     guard("pair-axiom-sweep", n, "pasch pair sampling")
-    unlinked = ~_linked_bits(oracle) & ((1 << (1 << 2 * n)) - 2)
+    unlinked = ~linkage_bits(oracle) & ((1 << (1 << 2 * n)) - 2)
     left = unlinked.bit_count()
     todo = bytearray(unlinked.to_bytes(((1 << 2 * n) + 7) >> 3, "little"))
     found = [(0, 0)]

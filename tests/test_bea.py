@@ -27,12 +27,21 @@ from twodual import (
     require_axioms,
     separate,
 )
-from twodual.bea import _i3_failures, _index_masks, _linked_bits, _report
+from twodual.bea import (
+    _check_i4_sweep,
+    _i3_failures,
+    _index_masks,
+    _report,
+    linkage_bits,
+    pairs_of,
+    singleton_links,
+    transversal_bits,
+)
 from twodual.convexity import bea_from_biconvexity
 from twodual.core import SetFamily, mask_of
 from twodual.errors import EmptyUniverse, InputError
 from twodual.instances import verifiers
-from twodual.instances.generators import gen_biconvexity
+from twodual.instances.generators import gen_biconvexity, random_oracle_instances
 from twodual.rng import SplitMix64
 
 
@@ -367,6 +376,10 @@ def test_i4_reports_a_hull_pair_past_the_sweep_cap(monkeypatch):
         rep = check_axiom(o, "i4")
         assert rep.passed == want.passed
         if not rep.passed:
+            assert rep.note == (
+                "a hull pair past the pair-axiom-sweep cap: not "
+                "popcount-minimal, and it depends on closure-size"
+            )
             # A genuine failure: linked, with no point linked between.
             a, b = rep.witness
             assert o.query(a, b)
@@ -460,6 +473,60 @@ def test_index_masks_and_the_linkage_bitset_match_their_definitions():
                 n, [rng.mask(n) for _ in range(count)]
             )
             for oracle in (induced, oracle_to_table(induced)):
-                assert _linked_bits(oracle) == mask_of(
+                assert linkage_bits(oracle) == mask_of(
                     x for x in range(size) if oracle.query(x >> n, x & full)
                 )
+
+
+def reference_pairs(n, pred):
+    """The subset pairs on which ``pred`` holds, by the double loop over
+    ``s`` and then ``t``."""
+    size = 1 << n
+    return [(s, t) for s in range(size) for t in range(size) if pred(s, t)]
+
+
+def test_transversal_bits_and_pairs_of_match_the_double_loop():
+    rng = SplitMix64(23)
+    for n in range(1, 7):
+        size = 1 << n
+        every = reference_pairs(n, lambda s, t: True)
+        assert list(pairs_of(0, n)) == []
+        assert list(pairs_of((1 << size * size) - 1, n)) == every
+        ones = [1] * size
+        assert transversal_bits(n, [0] * size, ones) == 0
+        assert transversal_bits(n, ones, ones) == (1 << size * size) - 1
+        for width in (1, n, 9):
+            for _ in range(3):
+                left = [rng.mask(width) for _ in range(size)]
+                right = [rng.mask(width) for _ in range(size)]
+                want = reference_pairs(n, lambda s, t: left[s] & right[t])
+                bitset = transversal_bits(n, left, right)
+                assert bitset == mask_of(s << n | t for s, t in want)
+                assert list(pairs_of(bitset, n)) == want
+
+
+def test_i4_sweep_and_oracle_to_table_match_the_query_loops():
+    oracles = random_oracle_instances(60, 29, max_universe=6)
+    oracles += [
+        BeaOracle.from_halfspaces(o.universe, o.halfspaces, zero=0, one=1)
+        for o in oracles[:10]
+    ]
+    failing = 0
+    for o in oracles:
+        n = o.universe
+        to_points, from_points = singleton_links(o)
+        want = _report(
+            "i4",
+            reference_pairs(
+                n,
+                lambda s, t: not to_points[s] & from_points[t] and o.query(s, t),
+            ),
+        )
+        table = BeaOracle.from_table(
+            n, reference_pairs(n, o.query), zero=o.zero_elem, one=o.one_elem
+        )
+        assert oracle_to_table(o) == table
+        assert _check_i4_sweep(o) == want
+        assert _check_i4_sweep(table) == want
+        failing += not want.passed
+    assert 0 < failing < len(oracles)

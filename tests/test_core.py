@@ -11,7 +11,6 @@ from twodual.core import (
     bits,
     collisions,
     mask_of,
-    pair_sweep,
     subset_images,
     submasks,
     substructure,
@@ -68,14 +67,6 @@ def test_subset_images_match_per_bit_mapping():
             for x in bits(s):
                 expected |= point_masks[x]
             assert img[s] == expected
-
-
-def test_pair_sweep_yields_matching_pairs_in_order():
-    got = list(pair_sweep(2, lambda s, t: s & t))
-    assert got == [(1, 1), (1, 3), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]
-    assert next(pair_sweep(3, lambda s, t: s > 5 and t == 2)) == (6, 2)
-    assert next(pair_sweep(3, lambda s, t: False), None) is None
-    assert len(list(pair_sweep(0, lambda s, t: True))) == 1
 
 
 def test_collisions_pair_each_repeat_with_its_first_row():

@@ -1,5 +1,7 @@
 """Duals, second duals, evaluation reports, and the linkage dual."""
 
+import itertools
+
 import pytest
 
 from twodual import (
@@ -26,7 +28,15 @@ from twodual.errors import (
     S1Violation,
     SignatureMismatch,
 )
-from twodual.instances import chain_interval_space, gen_posets, template
+from twodual.homs import enumerate_homs
+from twodual.instances import (
+    chain_interval_space,
+    gen_distributive_lattices,
+    gen_posets,
+    gen_semilattices,
+    template,
+)
+from twodual.instances.verifiers import _antichain, _with_zero
 from twodual.rng import SplitMix64
 
 
@@ -285,3 +295,71 @@ def test_dual_of_surjection_rejects_non_homs():
         dual_of_surjection([1, 0, 1], x, y, lat)
     with pytest.raises(NotSurjective):
         dual_of_surjection([0, 0, 0], x, y, lat)
+
+
+def reference_dual(structure, template_d, template_e):
+    """The induced tuples of `dual` by the pointwise loops it ran before it
+    read the hom masks as bitsets: a point at a time for each operation
+    application and each relation tuple.  Returns ``(symbol, args, mask)``
+    of the first application that leaves the carrier instead."""
+    masks = enumerate_homs(structure, template_d).homs.sets
+    index = {mask: i for i, mask in enumerate(masks)}
+    n, m = structure.size, len(masks)
+
+    def values(args, x):
+        return tuple(masks[i] >> x & 1 for i in args)
+
+    tuples = {}
+    for sym in template_e.signature.symbols:
+        rel_e = template_e.structure.rel(sym.name)
+        if sym.functional:
+            graph = template_e.structure.op(sym.name)
+            made = set()
+            for args in itertools.product(range(m), repeat=sym.arity - 1):
+                out = sum(1 << x for x in range(n) if graph[values(args, x)])
+                if out not in index:
+                    return sym.name, args, out
+                made.add(args + (index[out],))
+        else:
+            made = {
+                args
+                for args in itertools.product(range(m), repeat=sym.arity)
+                if all(values(args, x) in rel_e for x in range(n))
+            }
+        tuples[sym.name] = made
+    for cname in template_e.signature.constants:
+        value = template_e.structure.constants[cname]
+        cmask = (1 << n) - 1 if value else 0
+        if cmask not in index:
+            return cname, (), cmask
+    return tuples
+
+
+def test_dual_matches_the_pointwise_loops_on_every_suite_pair():
+    posets = [p for k in range(1, 5) for p in gen_posets(k)]
+    lattices = [lat for k in range(1, 5) for lat in gen_distributive_lattices(k)]
+    semis = [x for k in range(1, 5) for x in gen_semilattices(k)]
+    cases = [
+        ("order", "bounded_lattice", posets),
+        ("bounded_lattice", "order", lattices),
+        ("pure_set", "boolean_algebra", [_antichain(k) for k in range(1, 5)]),
+        ("semilattice", "semilattice01", semis),
+        ("semilattice0", "semilattice0", [_with_zero(x) for x in semis]),
+        ("bounded_lattice", "pure_set", [chain_lattice(k) for k in range(2, 5)]),
+        ("bounded_lattice", "semilattice01", [chain_lattice(k) for k in (3, 4)]),
+    ]
+    closed = broken = 0
+    for d, e, structures in cases:
+        for x in structures:
+            want = reference_dual(x, template(d), template(e))
+            try:
+                ds = dual(x, template(d), template(e), max_source=64)
+            except S1Violation as exc:
+                # The exception's message is where its args survive.
+                assert (exc.symbol, exc.missing_mask) == (want[0], want[2])
+                assert str(exc) == str(S1Violation(*want))
+                broken += 1
+                continue
+            assert {k: set(v) for k, v in ds.induced.tuples.items()} == want
+            closed += 1
+    assert (closed, broken) == (496, 2)

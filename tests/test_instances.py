@@ -328,6 +328,10 @@ def test_filter_form_sweep_on_semilattice_homs():
         assert _filter_form_agrees(x, masks)
         # With no halfspaces every pair links, so the shorthand disagrees.
         assert not _filter_form_agrees(x, ())
+        # Without the empty halfspace the empty left side links to the
+        # whole universe; only that row changes, and it is left out.
+        assert 0 in masks
+        assert _filter_form_agrees(x, [m for m in masks if m])
 
 
 def reference_unlinked_pairs(oracle, rng, pairs_per):
