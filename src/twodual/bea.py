@@ -546,8 +546,9 @@ def check_axioms(oracle: BeaOracle, axioms=None) -> dict:
     return {a: check_axiom(oracle, a) for a in axioms}
 
 
-def require_axioms(oracle: BeaOracle, axioms) -> None:
-    reports = {a: check_axiom(oracle, a) for a in axioms}
+def require_axioms(oracle: BeaOracle, axioms=None) -> None:
+    """Raise :class:`AxiomsFail` unless :func:`check_axioms` all pass."""
+    reports = check_axioms(oracle, axioms)
     failures = {a: r for a, r in reports.items() if not r.passed}
     if failures:
         raise AxiomsFail(failures)

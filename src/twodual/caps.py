@@ -51,7 +51,8 @@ DEFAULT_CAPS = {
     "normal-universe": 10,
     # Universe bound for the quintuple hull-transit sweep.
     "pasch-sweep": 8,
-    # Universe bound for the full third-axiom cross-check on hull oracles.
+    # Universe bound for verify_convexity_duality's cross-check of the
+    # hull-transit sweep against the transversal table's own i3.
     "pasch-crosscheck": 5,
     # Universe bound for building an oracle table from hulls.
     "biconv-table": 10,

@@ -280,7 +280,7 @@ def cmd_reflexivity(args) -> int:
             text += "\n" + _counterexample_lines(doc["counterexamples"])
     else:
         oracle = _as_oracle(obj)
-        rep = ultimate_bidual_report(oracle)
+        rep = ultimate_bidual_report(oracle, ultimate_dual(oracle))
         doc = {"command": "reflexivity", **rep}
         ok = bool(rep["pass"])
         text = (

@@ -263,10 +263,7 @@ def check_semi_dual(
             )
         except S1Violation as exc:
             entry["closed"] = False
-            entry["witness"] = {
-                "symbol": exc.symbol,
-                "args": list(exc.args),
-            }
+            entry["witness"] = {"symbol": exc.symbol, "args": list(exc.point)}
             entry["pass"] = False
             ok = False
             entries.append(entry)
@@ -360,12 +357,7 @@ def ultimate_dual(oracle: BeaOracle, *, assume_axioms: bool = False) -> Ultimate
     callers that have already established it.
     """
     if not assume_axioms:
-        names = ["i0", "i1", "i2", "i3"]
-        if oracle.zero_elem is not None:
-            names.append("c0")
-        if oracle.one_elem is not None:
-            names.append("c1")
-        require_axioms(oracle, names)
+        require_axioms(oracle)
     halfs = all_halfspaces(oracle)
     grant_zero = oracle.one_elem is None
     grant_one = oracle.zero_elem is None
@@ -378,10 +370,9 @@ def ultimate_dual(oracle: BeaOracle, *, assume_axioms: bool = False) -> Ultimate
     return UltimateDual(fam, family_bea(fam))
 
 
-def ultimate_bidual_report(
-    oracle: BeaOracle, *, assume_axioms: bool = False
-) -> dict:
-    """Dualize twice and audit the evaluation for a linkage oracle.
+def ultimate_bidual_report(oracle: BeaOracle, ud: UltimateDual) -> dict:
+    """Dualize ``ud = ultimate_dual(oracle)`` once more and audit the
+    evaluation for a linkage oracle.
 
     The evaluation sends a point to the set of halfspaces containing it;
     the report checks injectivity, surjectivity onto the second dual's
@@ -389,7 +380,6 @@ def ultimate_bidual_report(
     subset pairs, capped).  The second dual's halfspaces, pulled back
     along the evaluation, induce the transported linkage on the source.
     """
-    ud = ultimate_dual(oracle, assume_axioms=assume_axioms)
     n = oracle.universe
     second = all_halfspaces(ud.oracle)
     rows = [ud.carrier.point_row(x) for x in range(n)]

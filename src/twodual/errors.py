@@ -67,12 +67,12 @@ class ConstantOutside(DualityError):
 class FunctionNotClosed(DualityError):
     """A subset is not closed under a functional symbol."""
 
-    def __init__(self, name: str, args: tuple, result: int):
+    def __init__(self, name: str, point: tuple, result: int):
         self.name = name
-        self.args = args
+        self.point = tuple(point)
         self.result = result
         super().__init__(
-            f"subset not closed under {name!r}: {args} maps to {result}"
+            f"subset not closed under {name!r}: {self.point} maps to {result}"
         )
 
 
@@ -140,15 +140,16 @@ class S1Violation(DualityError):
     """The hom-set is not closed under the target signature.
 
     Either pointwise application of a functional symbol leaves the carrier,
-    or a required constant function is not a member.
+    or a required constant function is not a member.  ``point`` holds the
+    offending application's argument indices.
     """
 
-    def __init__(self, symbol: str, args, missing_mask: int):
+    def __init__(self, symbol: str, point, missing_mask: int):
         self.symbol = symbol
-        self.args = tuple(args)
+        self.point = tuple(point)
         self.missing_mask = missing_mask
         super().__init__(
-            f"carrier not closed under {symbol!r} at {self.args}; "
+            f"carrier not closed under {symbol!r} at {self.point}; "
             f"missing function mask {missing_mask:#x}"
         )
 

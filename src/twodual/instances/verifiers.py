@@ -36,6 +36,7 @@ from ..duality import (
     hom_equivalence,
     oracle_from_homs,
     ultimate_bidual_report,
+    ultimate_dual,
 )
 from ..errors import (
     DualityError,
@@ -768,7 +769,7 @@ def verify_ultimate(
                 )
                 if len(oracle.halfspaces) > 64:
                     return {"outcome": "skipped_large", "pass": True}
-                report = ultimate_bidual_report(oracle)
+                report = ultimate_bidual_report(oracle, ultimate_dual(oracle))
             except TimeoutExceeded:
                 return {"outcome": "timeout", "pass": True}
             return {

@@ -6,12 +6,15 @@ from twodual import (
     BeaOracle,
     BiConvexity,
     SetFamily,
+    bea,
     bea_from_biconvexity,
     biconvexity_from_bea,
+    check_axiom,
     check_complemented,
     check_normal,
     check_pasch_convex,
     conv_hull,
+    get_cap,
     oracle_to_table,
     verify_convexity_duality,
 )
@@ -19,6 +22,7 @@ from twodual.errors import MissingConstants, NotNormal, RoundTripFailure
 from twodual.instances import (
     chain_interval_space,
     discrete_space,
+    gen_biconvexity,
     nonnormal_planar,
     planar_trace_space,
     powerset_family_space,
@@ -67,14 +71,18 @@ def test_planar_fixture_is_not_normal():
 
 
 def test_hull_transit_on_chains_and_the_planar_fixture():
-    rep = check_pasch_convex(chain_interval_space(4))
+    chain = chain_interval_space(4)
+    rep = check_pasch_convex(chain)
     assert rep.passed
-    assert rep.transit_checked and rep.transit_passed
+    assert rep.to_json() == {"pass": True, "witness": None}
+    assert check_axiom(bea_from_biconvexity(chain), "i3").passed
 
-    bad = check_pasch_convex(nonnormal_planar())
+    planar = nonnormal_planar()
+    bad = check_pasch_convex(planar)
     assert not bad.passed
     assert bad.witness is not None
-    assert bad.transit_passed is False  # the induced oracle agrees
+    # The transversal oracle's transit axiom agrees with the sweep.
+    assert not check_axiom(bea_from_biconvexity(planar, force=True), "i3").passed
 
 
 def test_transversal_oracle_refuses_non_normal_spaces():
@@ -173,3 +181,36 @@ def test_audit_reports_the_planar_fixture_as_failed():
     rep = verify_convexity_duality([nonnormal_planar()])
     assert not rep["pass"]
     assert rep["entries"][0]["normal"] is False
+
+
+def test_audit_backtracks_each_space_table_once(monkeypatch):
+    calls = []
+    backtrack = bea._halfspaces_backtrack
+
+    def counted(oracle):
+        calls.append(oracle.universe)
+        return backtrack(oracle)
+
+    monkeypatch.setattr(bea, "_halfspaces_backtrack", counted)
+    corpus = gen_biconvexity(4)
+    for spaces, symmetric in ((corpus["plain"], False), (corpus["symmetric"], True)):
+        calls.clear()
+        rep = verify_convexity_duality(spaces, symmetric=symmetric)
+        assert rep["pass"]
+        assert calls == [space.universe for space in spaces]
+
+
+def test_transit_crosscheck_is_the_table_i3_up_to_its_cap():
+    cap = get_cap("pasch-crosscheck")
+    corpus = gen_biconvexity(6)
+    sizes = set()
+    for spaces, symmetric in ((corpus["plain"], False), (corpus["symmetric"], True)):
+        rep = verify_convexity_duality(spaces, symmetric=symmetric)
+        for space, entry in zip(spaces, rep["entries"]):
+            want = None
+            if space.universe <= cap:
+                oracle = bea_from_biconvexity(space, force=True)
+                want = check_axiom(oracle, "i3").passed
+            assert entry["transit_crosscheck"] is want
+            sizes.add(space.universe <= cap)
+    assert sizes == {True, False}

@@ -175,8 +175,9 @@ def test_substructure_function_not_closed():
     vee = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (0, 1, 2), (1, 0, 2),
            (0, 2, 2), (2, 0, 2), (1, 2, 2), (2, 1, 2)]
     y = FiniteStructure(sig, 3, {"join": vee})
-    with pytest.raises(FunctionNotClosed):
+    with pytest.raises(FunctionNotClosed) as err:
         substructure(y, [0, 1])
+    assert (err.value.name, err.value.point, err.value.result) == ("join", (0, 1), 2)
     assert substructure(y, [0, 2]).size == 2
 
 

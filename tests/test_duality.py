@@ -95,6 +95,16 @@ def test_s1_violation_names_the_broken_symbol():
     assert err.value.symbol == "one"
 
 
+def test_semi_dual_reports_the_violating_application():
+    rep = check_semi_dual(
+        template("bounded_lattice"), template("semilattice01"), [chain_lattice(3)]
+    )
+    assert not rep.passed
+    (entry,) = rep.entries
+    assert entry["closed"] is False
+    assert entry["witness"] == {"symbol": "one", "args": []}
+
+
 def test_evaluation_rows_are_point_rows_of_the_carrier():
     x = chain_lattice(3)
     ds = dual(x, template("bounded_lattice"), template("pure_set"))
@@ -150,7 +160,8 @@ def test_ultimate_bidual_report_powerset_family():
         has_empty_as_zero=True,
         has_base_as_one=True,
     )
-    rep = ultimate_bidual_report(family_bea(fam))
+    oracle = family_bea(fam)
+    rep = ultimate_bidual_report(oracle, ultimate_dual(oracle))
     assert rep["pass"]
     # The halfspaces of the full powerset family are the three point
     # filters, and their halfspaces recover all eight members.
@@ -163,7 +174,8 @@ def test_ultimate_bidual_report_is_exact_on_small_oracles():
     for k in (1, 2, 3):
         for combo in itertools.combinations(range(8), k):
             fam = SetFamily(base=3, sets=combo)
-            rep = ultimate_bidual_report(family_bea(fam))
+            oracle = family_bea(fam)
+            rep = ultimate_bidual_report(oracle, ultimate_dual(oracle))
             assert rep["pass"], (combo, rep["counterexamples"])
 
 
@@ -175,7 +187,8 @@ def test_ultimate_bidual_report_lists_untransported_pairs_in_order():
     deleted = {(0b0011, 0b0110), (0b0110, 0b1100), (0b0101, 0b0110)}
     assert deleted <= table.pairs
     broken = BeaOracle.from_table(4, table.pairs - deleted)
-    rep = ultimate_bidual_report(broken, assume_axioms=True)
+    ud = ultimate_dual(broken, assume_axioms=True)
+    rep = ultimate_bidual_report(broken, ud)
     assert rep["pass"] is False
     assert rep["counterexamples"] == [
         {"kind": "linkage", "s": [0, 1], "t": [1, 2]},
@@ -202,8 +215,9 @@ def test_transport_sweep_agrees_on_induced_and_table_oracles():
             has_base_as_one=one,
         )
         induced = family_bea(fam)
-        rep = ultimate_bidual_report(induced)
-        assert rep == ultimate_bidual_report(oracle_to_table(induced))
+        rep = ultimate_bidual_report(induced, ultimate_dual(induced))
+        table = oracle_to_table(induced)
+        assert rep == ultimate_bidual_report(table, ultimate_dual(table))
         # Halfspace lists that need not satisfy the axioms.
         n = rng.randint(1, 4)
         loose = BeaOracle.from_halfspaces(
@@ -211,9 +225,11 @@ def test_transport_sweep_agrees_on_induced_and_table_oracles():
         )
         if not all_halfspaces(loose).sets:
             continue  # no dual to take
-        rep = ultimate_bidual_report(loose, assume_axioms=True)
+        ud = ultimate_dual(loose, assume_axioms=True)
+        rep = ultimate_bidual_report(loose, ud)
         table = oracle_to_table(loose)
-        assert rep == ultimate_bidual_report(table, assume_axioms=True)
+        ud = ultimate_dual(table, assume_axioms=True)
+        assert rep == ultimate_bidual_report(table, ud)
         kinds |= {c["kind"] for c in rep["counterexamples"]}
     assert kinds == {"collision"}
 
@@ -249,7 +265,8 @@ def test_transport_sweep_matches_the_query_sweep_on_damaged_tables():
         kept = [p for p in pairs if rng.below(8)]
         table = BeaOracle.from_table(len(members), kept)
         try:
-            rep = ultimate_bidual_report(table, assume_axioms=True)
+            ud = ultimate_dual(table, assume_axioms=True)
+            rep = ultimate_bidual_report(table, ud)
         except (AssertionError, EmptyUniverse):
             continue  # the evaluation left the second dual, or no dual
         linkage = [c for c in rep["counterexamples"] if c["kind"] == "linkage"]
@@ -355,8 +372,7 @@ def test_dual_matches_the_pointwise_loops_on_every_suite_pair():
             try:
                 ds = dual(x, template(d), template(e), max_source=64)
             except S1Violation as exc:
-                # The exception's message is where its args survive.
-                assert (exc.symbol, exc.missing_mask) == (want[0], want[2])
+                assert (exc.symbol, exc.point, exc.missing_mask) == want
                 assert str(exc) == str(S1Violation(*want))
                 broken += 1
                 continue
