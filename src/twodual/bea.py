@@ -7,8 +7,9 @@ universe, whether ``s`` is linked to ``t``.  Two realizations are provided:
     The positive pairs are stored exhaustively as a frozen set of mask
     pairs.  Nothing is assumed about them; the axiom checkers below do the
     honest sweeps.  Within the ``pair-axiom-sweep`` cap, the ``i3`` check
-    reads the table as a pair-index bitset (below); past it, it joins the
-    stored pairs.
+    reads the table as a pair-index bitset (below), and ``i1`` and the
+    halfspace backtrack read its up-closure; past it, they join or scan
+    the stored pairs.
 
 ``induced``
     A tuple of *halfspace* masks ``H`` is stored and ``s ⋈ t`` holds iff no
@@ -36,8 +37,11 @@ Every sweep over all ``4^n`` subset pairs, in this package, works on one
 format, the *pair-index bitset*: a ``4^n``-bit int whose bit
 ``x = s << n | t`` is set iff ``(s, t)`` is in the relation, so its lowest
 set bit is the first pair in ``(s, t)`` order.  It is built and read by
-:func:`linkage_bits`, :func:`transversal_bits` (``left[s] & right[t]``)
-and :func:`pairs_of` (the pairs, in order); two relations compare by XOR.
+:func:`linkage_bits`, :func:`transversal_bits` (``left[s] & right[t]``),
+:func:`row_bits` and :func:`column_bits` (``s``, or ``t``, in a mask) and
+:func:`pairs_of` (the pairs, in order); two relations compare by XOR.
+:func:`up_closure` is the one transform on it: the OR-zeta transform over
+the ``2n`` index bits, which adds every pair above a member.
 """
 
 from __future__ import annotations
@@ -188,6 +192,11 @@ def _check_i1(o: BeaOracle) -> AxiomReport:
         return AxiomReport(
             "i1", True, note="monotone by construction for induced oracles"
         )
+    if o.universe <= get_cap("pair-axiom-sweep"):
+        # A table is monotone iff it is its own up-closure.
+        table = linkage_bits(o)
+        if up_closure(table, o.universe) == table:
+            return AxiomReport("i1", True)
     # Single-element extensions are complete: any monotonicity failure has
     # a one-step failure along a chain between the two pairs.
     return _report("i1", _i1_failures(o))
@@ -292,6 +301,41 @@ def transversal_bits(n: int, left, right) -> int:
         rows = [a | b << width for a, b in zip(rows[::2], rows[1::2])]
         width <<= 1
     return rows[0]
+
+
+def row_bits(n: int, rows: int) -> int:
+    """The pair-index bitset of the pairs ``(s, t)`` with bit ``s`` set in
+    the ``2^n``-bit mask ``rows``: each bit ``s`` moves to ``s << n``, one
+    index bit at a time from the top, and then fills its row by doubling."""
+    with_bit, _ = _index_masks(n)
+    for k in reversed(range(n)):
+        hit = rows & with_bit[k]
+        rows ^= hit ^ hit << ((1 << k) * ((1 << n) - 1))
+    for k in range(n):
+        rows |= rows << (1 << k)
+    return rows
+
+
+def column_bits(n: int, cols: int) -> int:
+    """The pair-index bitset of the pairs ``(s, t)`` with bit ``t`` set in
+    the ``2^n``-bit mask ``cols``: the mask repeated in every row, by
+    doubling."""
+    width = 1 << n
+    while width < 1 << 2 * n:
+        cols |= cols << width
+        width <<= 1
+    return cols
+
+
+def up_closure(bitset: int, n: int) -> int:
+    """The pair-index bitset of every ``(s, t)`` above some pair of
+    ``bitset``: ``s' ⊆ s`` and ``t' ⊆ t``.  The OR-zeta transform over the
+    ``2n`` index bits (Yates): each step ORs in the indices with bit ``j``
+    clear, shifted up to set it."""
+    with_bit, _ = _index_masks(n)
+    for j, ones in enumerate(with_bit):
+        bitset |= (bitset & ~ones) << (1 << j)
+    return bitset
 
 
 def pairs_of(bitset: int, n: int):
@@ -601,13 +645,24 @@ def is_halfspace(oracle: BeaOracle, u: int) -> bool:
 
 def _halfspaces_backtrack(oracle: BeaOracle) -> list[int]:
     n = oracle.universe
+    if oracle.zero_elem is not None and oracle.zero_elem == oracle.one_elem:
+        return []  # no side can both hold and miss the one constant
     results = []
     table = oracle.pairs
+    above = None
+    if table is not None and n <= get_cap("pair-axiom-sweep"):
+        # A stored pair dooms every completion once it sits inside the
+        # decided sides, s inside and t outside: once the pair of sides is
+        # in the table's up-closure.  Bit tests go through bytes, since
+        # shifting the 4^n-bit int copies it.
+        closure = up_closure(linkage_bits(oracle), n)
+        above = closure.to_bytes(((1 << 2 * n) + 7) >> 3, "little")
 
     def viable(inmask: int, outmask: int) -> bool:
+        if above is not None:
+            x = inmask << n | outmask
+            return not above[x >> 3] >> (x & 7) & 1
         if table is not None:
-            # A stored pair dooms every completion only once both sides
-            # are fully decided: s inside, t outside.
             return not any(
                 s & ~inmask == 0 and t & ~outmask == 0 for s, t in table
             )
@@ -617,7 +672,12 @@ def _halfspaces_backtrack(oracle: BeaOracle) -> list[int]:
 
     def rec(x: int, inmask: int, outmask: int) -> None:
         if x == n:
-            if is_halfspace(oracle, inmask):
+            if above is not None:
+                # Constants sit on their sides by construction and the
+                # sides are complements: the certificate is one bit test.
+                if viable(inmask, outmask):
+                    results.append(inmask)
+            elif is_halfspace(oracle, inmask):
                 results.append(inmask)
             return
         bit = 1 << x

@@ -26,8 +26,10 @@ DEFAULT_CAPS = {
     # 4^n-bit pair-index bitsets (see bea): the i4 fallback sweep, the
     # bidual transport sweep, the filter nesting / filter form sweeps of
     # the verifiers and the pasch pair sampling.  It also picks the path of
-    # two checks: table i3 uses its bitset, and a failing induced i4 takes
-    # its witness from the sweep, only within it.
+    # four checks, each on a bitset only within it: table i3; table i1 and
+    # the table halfspace backtrack, through the table's up-closure; and a
+    # failing induced i4, which takes its witness from the sweep.  Past it
+    # they scan or join the stored pairs.
     "pair-axiom-sweep": 10,
     # Universe bound for listing halfspaces analytically.
     "halfspace-universe": 64,
@@ -49,7 +51,7 @@ DEFAULT_CAPS = {
     "dual-carrier": 64,
     # Universe bound for normality checking of bi-convexities.
     "normal-universe": 10,
-    # Universe bound for the quintuple hull-transit sweep.
+    # Universe bound for the hull-transit sweep, n^2 bitsets of 4^n bits.
     "pasch-sweep": 8,
     # Universe bound for verify_convexity_duality's cross-check of the
     # hull-transit sweep against the transversal table's own i3.

@@ -23,16 +23,18 @@ from .bea import (
     BeaOracle,
     check_axiom,
     check_axioms,
-    complement,
+    column_bits,
     linkage_bits,
     pairs_of,
     require_axioms,
+    row_bits,
     singleton_links,
     transversal_bits,
 )
 from .caps import get_cap, guard
 from .core import SetFamily, bits, subset_images
 from .errors import (
+    DuplicateComplement,
     InputError,
     MissingConstants,
     NotNormal,
@@ -180,26 +182,51 @@ def check_pasch_convex(space: BiConvexity) -> PaschConvexReport:
     meet the lower hull of ``{q} ∪ b1``.  Together with the point axioms,
     the pattern is equivalent to the transit axiom ``i3`` of the
     transversal oracle.
+
+    Every ``(a0, b1)`` is swept at once, as one pair-index bitset (see
+    :mod:`twodual.bea`) per ``(q, r)``: the premise is the OR over ``p``,
+    and the conclusion the OR over the points ``v`` of both hulls, of a
+    row selector (``v ∈ hu[a0 ∪ {i}]``) AND a column selector
+    (``v ∈ hl[b1 ∪ {i}]``).  The first failing pair is the lowest bit of
+    the failures; its first ``(p, q, r)`` is then found point by point,
+    so the witness is the first in ``(a0, b1, p, q, r)`` order.
     """
     n = space.universe
     guard("pasch-sweep", n, "hull-transit sweep")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
-    points = [tuple(bits(m)) for m in range(1 << n)]
-
-    def failures():
-        """Each ``(a0, b1, p, q, r)`` whose conclusion fails, in order."""
-        for a0 in range(1 << n):
-            for b1 in range(1 << n):
-                for p in range(n):
-                    bit = 1 << p
-                    for q in points[hu[a0 | bit]]:
-                        for r in points[hl[b1 | bit]]:
-                            if not hu[a0 | (1 << r)] & hl[b1 | (1 << q)]:
-                                yield a0, b1, p, q, r
-
-    witness = next(failures(), None)
-    return PaschConvexReport(passed=witness is None, witness=witness)
+    # rows[i][v]: the a0 with v ∈ hu[a0 ∪ {i}]; cols[i][v]: the b1 with
+    # v ∈ hl[b1 ∪ {i}].
+    rows = [[0] * n for _ in range(n)]
+    cols = [[0] * n for _ in range(n)]
+    for m in range(1 << n):
+        for i in range(n):
+            for v in bits(hu[m | 1 << i]):
+                rows[i][v] |= 1 << m
+            for v in bits(hl[m | 1 << i]):
+                cols[i][v] |= 1 << m
+    rows = [[row_bits(n, r) for r in line] for line in rows]
+    cols = [[column_bits(n, c) for c in line] for line in cols]
+    fail = 0
+    for q in range(n):
+        for r in range(n):
+            premise = meet = 0
+            for i in range(n):
+                premise |= rows[i][q] & cols[i][r]
+                meet |= rows[r][i] & cols[q][i]
+            fail |= premise & ~meet
+    if not fail:
+        return PaschConvexReport(passed=True, witness=None)
+    x = (fail & -fail).bit_length() - 1
+    a0, b1 = x >> n, x & ((1 << n) - 1)
+    witness = next(
+        (a0, b1, p, q, r)
+        for p in range(n)
+        for q in bits(hu[a0 | 1 << p])
+        for r in bits(hl[b1 | 1 << p])
+        if not hu[a0 | 1 << r] & hl[b1 | 1 << q]
+    )
+    return PaschConvexReport(passed=False, witness=witness)
 
 
 def biconvexity_from_bea(
@@ -276,32 +303,38 @@ class ComplementedReport:
 def check_complemented(space: BiConvexity) -> ComplementedReport:
     """Find every point's complement and verify the swap law.
 
-    Needs designated zero and one.  When every point has a (unique)
-    complement, the swap law is swept: ``a ⋈ b`` iff ``¬b ⋈ ¬a`` with
-    negation applied pointwise.
+    Needs designated zero and one.  The complement of ``a`` is the unique
+    ``b`` with ``{a, b} ⋈ {zero}`` and ``{one} ⋈ {a, b}`` in the
+    transversal oracle, read straight off the hulls.  When every point has
+    one, the swap law is swept: ``a ⋈ b`` iff ``¬b ⋈ ¬a`` with negation
+    applied pointwise.
     """
     if space.zero_elem is None or space.one_elem is None:
         raise MissingConstants("complementation needs designated constants")
-    oracle = bea_from_biconvexity(space, force=True)
     n = space.universe
+    guard("biconv-table", n, "transversal table")
+    hu = [space.hull_upper(m) for m in range(1 << n)]
+    hl = [space.hull_lower(m) for m in range(1 << n)]
+    below_zero = hl[1 << space.zero_elem]
+    above_one = hu[1 << space.one_elem]
     negation = []
-    missing = []
     for a in range(n):
-        b = complement(oracle, a)
-        if b is None:
-            missing.append(a)
-            negation.append(None)
-        else:
-            negation.append(b)
+        found = [
+            b
+            for b in range(n)
+            if hu[1 << a | 1 << b] & below_zero and above_one & hl[1 << a | 1 << b]
+        ]
+        if len(found) > 1:
+            raise DuplicateComplement(a, found)
+        negation.append(found[0] if found else None)
+    missing = tuple(a for a, b in enumerate(negation) if b is None)
     if missing:
-        return ComplementedReport(
-            False, tuple(negation), tuple(missing), None, None
-        )
+        return ComplementedReport(False, tuple(negation), missing, None, None)
     neg = subset_images(n, [1 << b for b in negation])
     # ¬t ⋈ ¬s iff the upper hull of ¬t meets the lower hull of ¬s.
-    lower = [space.hull_lower(m) for m in neg]
-    upper = [space.hull_upper(m) for m in neg]
-    swapped = linkage_bits(oracle) ^ transversal_bits(n, lower, upper)
+    lower = [hl[m] for m in neg]
+    upper = [hu[m] for m in neg]
+    swapped = transversal_bits(n, hu, hl) ^ transversal_bits(n, lower, upper)
     swap_witness = next(pairs_of(swapped, n), None)
     return ComplementedReport(
         True, tuple(negation), (), swap_witness is None, swap_witness

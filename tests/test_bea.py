@@ -16,6 +16,7 @@ from twodual import (
     PreconditionViolated,
     all_halfspaces,
     associated_order,
+    bea,
     bits,
     caps,
     check_axiom,
@@ -29,13 +30,18 @@ from twodual import (
 )
 from twodual.bea import (
     _check_i4_sweep,
+    _halfspaces_backtrack,
+    _i1_failures,
     _i3_failures,
     _index_masks,
     _report,
+    column_bits,
     linkage_bits,
     pairs_of,
+    row_bits,
     singleton_links,
     transversal_bits,
+    up_closure,
 )
 from twodual.convexity import bea_from_biconvexity
 from twodual.core import SetFamily, mask_of
@@ -530,3 +536,120 @@ def test_i4_sweep_and_oracle_to_table_match_the_query_loops():
         assert _check_i4_sweep(table) == want
         failing += not want.passed
     assert 0 < failing < len(oracles)
+
+
+def test_up_closure_and_the_selectors_match_their_definitions():
+    rng = SplitMix64(43)
+    for n in range(1, 6):
+        size = 1 << n
+        full = size - 1
+        every = reference_pairs(n, lambda s, t: True)
+        for _ in range(4):
+            rows, cols = rng.mask(size), rng.mask(size)
+            assert row_bits(n, rows) == mask_of(
+                s << n | t for s, t in every if rows >> s & 1
+            )
+            assert column_bits(n, cols) == mask_of(
+                s << n | t for s, t in every if cols >> t & 1
+            )
+            drawn = [(s, t) for s, t in every if rng.below(8) == 0]
+            bitset = mask_of(s << n | t for s, t in drawn)
+            assert up_closure(bitset, n) == mask_of(
+                x
+                for x in range(size * size)
+                if any(a & ~(x >> n) == 0 and b & ~(x & full) == 0 for a, b in drawn)
+            )
+
+
+def reference_backtrack(oracle):
+    """The table halfspaces by the element-split backtrack that scans the
+    stored pairs at every node and certifies each leaf."""
+    n = oracle.universe
+    results = []
+
+    def viable(inmask, outmask):
+        return not any(
+            s & ~inmask == 0 and t & ~outmask == 0 for s, t in oracle.pairs
+        )
+
+    def rec(x, inmask, outmask):
+        if x == n:
+            if is_halfspace(oracle, inmask):
+                results.append(inmask)
+            return
+        bit = 1 << x
+        if oracle.zero_elem == x:
+            choices = (outmask | bit, None)
+        elif oracle.one_elem == x:
+            choices = (None, inmask | bit)
+        else:
+            choices = (outmask | bit, inmask | bit)
+        if choices[0] is not None and viable(inmask, choices[0]):
+            rec(x + 1, inmask, choices[0])
+        if choices[1] is not None and viable(choices[1], outmask):
+            rec(x + 1, choices[1], outmask)
+
+    rec(0, 0, 0)
+    return sorted(results)
+
+
+def damaged_tables(seed, count, max_universe):
+    """Seeded tables: monotone tables of random induced oracles with a
+    few pairs dropped or added, and sparse random (non-monotone) tables;
+    every other one with designated constants."""
+    rng = SplitMix64(seed)
+    for i in range(count):
+        n = 1 + i % max_universe
+        size = 1 << 2 * n
+        full = (1 << n) - 1
+        zero = one = None
+        if i % 2:
+            zero, one = rng.below(n), rng.below(n)
+        if i % 3:
+            induced = BeaOracle.from_halfspaces(
+                n, [rng.mask(n) for _ in range(rng.below(2 * n) + 1)]
+            )
+            pairs = set(oracle_to_table(induced).pairs)
+            for _ in range(rng.below(3)):
+                x = rng.below(size)
+                pairs ^= {(x >> n, x & full)}
+        else:
+            pairs = {
+                (x >> n, x & full) for x in range(size) if rng.below(8) == 0
+            }
+        yield BeaOracle.from_table(n, pairs, zero=zero, one=one)
+
+
+def test_table_i1_matches_the_one_step_scan():
+    verdicts = set()
+    for oracle in damaged_tables(47, 120, 6):
+        want = _report("i1", _i1_failures(oracle))
+        assert check_axiom(oracle, "i1") == want
+        verdicts.add(want.passed)
+    assert verdicts == {True, False}
+
+
+def test_table_backtrack_matches_brute_and_the_pair_scan():
+    found = set()
+    for oracle in damaged_tables(53, 120, 6):
+        brute = all_halfspaces(oracle, method="brute").sets
+        assert tuple(_halfspaces_backtrack(oracle)) == brute
+        assert reference_backtrack(oracle) == list(brute)
+        assert all_halfspaces(oracle).sets == brute
+        found.add((oracle.zero_elem is None, len(brute) > 1))
+    assert found == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_table_backtrack_and_i1_scan_pairs_past_the_sweep_cap(monkeypatch):
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", 2)
+
+    def refused(bitset, n):
+        raise AssertionError("the up-closure runs past the sweep cap")
+
+    monkeypatch.setattr(bea, "up_closure", refused)
+    tables = [o for o in damaged_tables(59, 60, 5) if o.universe >= 3]
+    assert {o.universe for o in tables} == {3, 4, 5}
+    for oracle in tables:
+        brute = all_halfspaces(oracle, method="brute").sets
+        assert all_halfspaces(oracle, method="backtrack").sets == brute
+        assert check_axiom(oracle, "i1") == _report("i1", _i1_failures(oracle))

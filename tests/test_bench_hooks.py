@@ -37,3 +37,5 @@ def test_tracer_records_the_biconvex_audit_spans(capsys):
     names = {span[2] for span in tracer.spans}
     assert "duality.ultimate_bidual_report" in names
     assert "convexity.check_pasch_convex" in names
+    assert "convexity.check_complemented" in names
+    assert "bea.all_halfspaces.backtrack" in names

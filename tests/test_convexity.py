@@ -9,16 +9,27 @@ from twodual import (
     bea,
     bea_from_biconvexity,
     biconvexity_from_bea,
+    bits,
     check_axiom,
     check_complemented,
     check_normal,
     check_pasch_convex,
+    complement,
     conv_hull,
     get_cap,
     oracle_to_table,
     verify_convexity_duality,
 )
-from twodual.errors import MissingConstants, NotNormal, RoundTripFailure
+from twodual.bea import linkage_bits, pairs_of, transversal_bits
+from twodual.convexity import ComplementedReport
+from twodual.core import subset_images
+from twodual.duality import ultimate_dual
+from twodual.errors import (
+    DuplicateComplement,
+    MissingConstants,
+    NotNormal,
+    RoundTripFailure,
+)
 from twodual.instances import (
     chain_interval_space,
     discrete_space,
@@ -27,6 +38,7 @@ from twodual.instances import (
     planar_trace_space,
     powerset_family_space,
 )
+from twodual.rng import SplitMix64
 
 
 def test_families_must_be_closure_systems():
@@ -214,3 +226,111 @@ def test_transit_crosscheck_is_the_table_i3_up_to_its_cap():
             assert entry["transit_crosscheck"] is want
             sizes.add(space.universe <= cap)
     assert sizes == {True, False}
+
+
+def reference_pasch_witness(space):
+    """The first failing ``(a0, b1, p, q, r)`` of the hull-transit
+    pattern, by the quintuple loop."""
+    n = space.universe
+    hu = [space.hull_upper(m) for m in range(1 << n)]
+    hl = [space.hull_lower(m) for m in range(1 << n)]
+    for a0 in range(1 << n):
+        for b1 in range(1 << n):
+            for p in range(n):
+                for q in bits(hu[a0 | 1 << p]):
+                    for r in bits(hl[b1 | 1 << p]):
+                        if not hu[a0 | 1 << r] & hl[b1 | 1 << q]:
+                            return a0, b1, p, q, r
+    return None
+
+
+def reference_complemented(space):
+    """The complemented report by complement queries on the transversal
+    table, and the swap law against its linkage."""
+    oracle = bea_from_biconvexity(space, force=True)
+    n = space.universe
+    negation = [complement(oracle, a) for a in range(n)]
+    missing = tuple(a for a, b in enumerate(negation) if b is None)
+    if missing:
+        return ComplementedReport(False, tuple(negation), missing, None, None)
+    neg = subset_images(n, [1 << b for b in negation])
+    lower = [space.hull_lower(m) for m in neg]
+    upper = [space.hull_upper(m) for m in neg]
+    swapped = linkage_bits(oracle) ^ transversal_bits(n, lower, upper)
+    witness = next(pairs_of(swapped, n), None)
+    return ComplementedReport(True, tuple(negation), (), witness is None, witness)
+
+
+def random_family(rng, n):
+    """A random intersection-closed family on ``n`` points, with the full
+    set: a few random masks closed under pairwise intersection."""
+    full = (1 << n) - 1
+    sets = {full}
+    for _ in range(rng.below(2 * n + 2)):
+        m = rng.mask(n)
+        sets |= {m & s for s in sets} | {m}
+    return SetFamily(base=n, sets=tuple(sorted(sets)))
+
+
+def random_spaces(seed, count, *, constants=False):
+    rng = SplitMix64(seed)
+    for i in range(count):
+        n = 1 + i % 6
+        zero = one = None
+        if constants:
+            zero, one = rng.below(n), rng.below(n)
+        yield BiConvexity(
+            n, random_family(rng, n), random_family(rng, n),
+            zero_elem=zero, one_elem=one,
+        )
+
+
+def test_pasch_sweep_matches_the_quintuple_loop():
+    corpus = gen_biconvexity(6)
+    spaces = corpus["plain"] + corpus["symmetric"] + [nonnormal_planar()]
+    spaces += list(random_spaces(31, 60))
+    planar = check_pasch_convex(nonnormal_planar())
+    assert planar.witness == (10, 17, 2, 4, 3)
+    failing = []
+    for space in spaces:
+        want = reference_pasch_witness(space)
+        rep = check_pasch_convex(space)
+        assert rep.witness == want
+        assert rep.passed is (want is None)
+        if want is not None:
+            failing.append(want)
+    assert len({w[:2] for w in failing}) >= 5
+    assert any(w[2] > 0 for w in failing)
+    assert 0 < len(failing) < len(spaces)
+
+
+def _same_complemented(space):
+    try:
+        want = reference_complemented(space)
+    except DuplicateComplement as exc:
+        with pytest.raises(DuplicateComplement) as info:
+            check_complemented(space)
+        assert (info.value.element, info.value.candidates) == (
+            exc.element, exc.candidates
+        )
+        return "duplicate"
+    rep = check_complemented(space)
+    assert rep == want
+    if not rep.complemented:
+        return "missing"
+    return "swap" if rep.swap_passed else "swap-fails"
+
+
+def test_complemented_matches_the_table_queries():
+    duals = []
+    for space in gen_biconvexity(6)["symmetric"]:
+        oracle = bea_from_biconvexity(space)
+        dual = ultimate_dual(oracle, assume_axioms=True)
+        duals.append(biconvexity_from_bea(dual.oracle, skip_axioms=True))
+    assert {_same_complemented(space) for space in duals} == {"swap"}
+    kinds = [_same_complemented(s) for s in random_spaces(37, 300, constants=True)]
+    # Zero and one on one point: every point is a complement of it.
+    both = discrete_space(2)
+    doubled = BiConvexity(2, both.lower, both.upper, zero_elem=0, one_elem=0)
+    kinds.append(_same_complemented(doubled))
+    assert set(kinds) == {"duplicate", "missing", "swap", "swap-fails"}
