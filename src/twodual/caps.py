@@ -5,7 +5,7 @@ cap.  Defaults live in ``DEFAULT_CAPS``; the environment variable
 ``DUALITY_CAPS`` can override any of them with a comma-separated list of
 ``name=value`` entries, e.g.::
 
-    DUALITY_CAPS="axiom-sweep=12,hom-limit=4096"
+    DUALITY_CAPS="pair-axiom-sweep=8,hom-limit=4096"
 
 Caps are read at call time through :func:`get_cap`, so tests may adjust
 :data:`ACTIVE_CAPS` (or the environment, followed by :func:`reload_caps`).
@@ -20,8 +20,6 @@ from .errors import InputError, UniverseTooLarge
 DEFAULT_CAPS = {
     # Largest base allowed for a bit-mask set family (storage-level cap).
     "family-base": 64,
-    # Universe bound for element-quantified axiom sweeps (i0, i2, i4, i5, c0, c1).
-    "axiom-sweep": 14,
     # Universe bound for sweeps quantifying over subset *pairs*, each on
     # 4^n-bit pair-index bitsets (see bea): the i4 fallback sweep, the
     # bidual transport sweep, the filter nesting / filter form sweeps of
@@ -92,9 +90,11 @@ ACTIVE_CAPS = load_caps()
 
 
 def reload_caps() -> None:
-    """Re-read ``DUALITY_CAPS`` from the environment."""
+    """Re-read ``DUALITY_CAPS`` from the environment; a refused value
+    leaves the active caps as they were."""
+    caps = load_caps()
     ACTIVE_CAPS.clear()
-    ACTIVE_CAPS.update(load_caps())
+    ACTIVE_CAPS.update(caps)
 
 
 def get_cap(name: str) -> int:

@@ -15,7 +15,9 @@ time budget was exceeded.
 
 All JSON output is deterministic: keys sorted, compact separators, no
 machine-dependent content.  ``--threads`` only parallelizes independent
-checks inside ``verify`` and never changes what is printed.
+checks inside ``verify`` and never changes what is printed.  ``verify``
+refuses (exit 2) a ``--max-size``, ``--samples`` or ``--seed`` that its
+suite does not read.
 """
 
 from __future__ import annotations
@@ -93,10 +95,6 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
-def _load(path: str):
-    return jsonio.load_path(path)
-
-
 def _as_oracle(obj) -> BeaOracle:
     if isinstance(obj, BeaOracle):
         return obj
@@ -110,7 +108,7 @@ def _as_oracle(obj) -> BeaOracle:
 def _finite_template(name: str) -> TwoTemplate:
     """A named catalog template, or a two-element structure document."""
     if os.path.exists(name):
-        obj = _load(name)
+        obj = jsonio.load_path(name)
         if not isinstance(obj, FiniteStructure):
             raise InputError(f"{name} is not a structure document")
         if obj.size != 2:
@@ -185,7 +183,7 @@ def _summary_lines(value, indent: str = "  ") -> list[str]:
 # ------------------------------------------------------------ commands
 
 def cmd_check_axioms(args) -> int:
-    oracle = _as_oracle(_load(args.infile))
+    oracle = _as_oracle(jsonio.load_path(args.infile))
     names = None
     if args.axioms:
         names = [a.strip() for a in args.axioms.split(",") if a.strip()]
@@ -215,7 +213,7 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    obj = _load(args.infile)
+    obj = jsonio.load_path(args.infile)
     if isinstance(obj, FiniteStructure):
         if not args.template:
             raise InputError("dualizing a structure needs --template")
@@ -262,7 +260,7 @@ def cmd_dual(args) -> int:
 
 
 def cmd_reflexivity(args) -> int:
-    obj = _load(args.infile)
+    obj = jsonio.load_path(args.infile)
     if isinstance(obj, FiniteStructure):
         if not args.template:
             raise InputError("evaluating a structure needs --template")
@@ -294,7 +292,7 @@ def cmd_reflexivity(args) -> int:
 
 
 def cmd_separate(args) -> int:
-    oracle = _as_oracle(_load(args.infile))
+    oracle = _as_oracle(jsonio.load_path(args.infile))
     a = _mask_arg(args.a, oracle.universe, "a")
     b = _mask_arg(args.b, oracle.universe, "b")
     try:

@@ -109,16 +109,6 @@ def _preserved(by_value, arity: int, prefix: tuple, live: list):
         yield from _preserved(by_value, arity, prefix + (x,), nxt)
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` (including 0 and ``mask`` itself)."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 @dataclass(frozen=True)
 class Symbol:
     """A relation symbol; ``functional`` marks it as an operation graph."""

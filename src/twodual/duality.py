@@ -440,16 +440,14 @@ def dual_of_surjection(
     source: FiniteStructure,
     target: FiniteStructure,
     template: TwoTemplate,
-    *,
-    pair_size: int = 2,
 ) -> SurjectionReport:
     """Pull back homs along a surjective homomorphism and audit the result.
 
     ``fmap`` is the underlying map as a sequence (``fmap[x]`` in the
     target).  Composition lands in the source's hom-set; the report
     records injectivity of the pullback and reflection of linkage between
-    the induced dual oracles, swept over side sets of at most
-    ``pair_size`` elements.
+    the induced dual oracles, swept over side sets of at most two
+    elements.
     """
     fmap = tuple(fmap)
     if len(fmap) != source.size:
@@ -489,7 +487,7 @@ def dual_of_surjection(
 
     def side_masks():
         out = [0]
-        for size in range(1, pair_size + 1):
+        for size in (1, 2):
             for combo in itertools.combinations(range(tgt_count), size):
                 out.append(sum(1 << i for i in combo))
         return out

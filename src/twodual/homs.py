@@ -170,7 +170,6 @@ def enumerate_homs(
     template: TwoTemplate,
     *,
     method: str = "backtrack",
-    limit: int | None = None,
     budget: float | None = None,
 ) -> HomSet:
     """All homomorphisms ``structure -> template``.
@@ -179,14 +178,12 @@ def enumerate_homs(
     propagation over forced values, each constraint visit one lookup in
     its compiled shape, see the module notes for the memory it keeps) or
     ``"brute"`` (tries every one of the ``2^n`` maps; independent
-    cross-check, capped).  ``limit`` bounds the
-    number of homs (default: the ``hom-limit`` cap); ``budget`` is a
-    wall-clock allowance in seconds.
+    cross-check, capped).  The ``hom-limit`` cap bounds the number of
+    homs; ``budget`` is a wall-clock allowance in seconds.
     """
     if structure.signature != template.signature:
         raise SignatureMismatch("structure and template signatures differ")
-    if limit is None:
-        limit = get_cap("hom-limit")
+    limit = get_cap("hom-limit")
     seed = _seed_assignment(structure, template)
 
     n = structure.size

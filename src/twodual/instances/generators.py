@@ -138,14 +138,32 @@ def count_posets_brute(n: int) -> int:
 
 # ----------------------------------------------------------- semilattices
 
+def _below_rows(rows) -> list[int]:
+    """The transposed rows of a poset: bit ``i`` of ``below[j]`` iff
+    i ≤ j, given ``rows[i]`` with bit j iff i ≤ j."""
+    below = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            below[j] |= 1 << i
+    return below
+
+
+def _closed_sets(rows) -> list[int]:
+    """The masks ``m``, in increasing order, that hold ``rows[i]`` for
+    every ``i`` in ``m``: the up-sets for the poset's ``leq_rows``, the
+    down-sets for its ``_below_rows``."""
+    return [
+        m
+        for m in range(1 << len(rows))
+        if all(rows[i] & ~m == 0 for i in bits(m))
+    ]
+
+
 def _glb_table(rows: tuple[int, ...]) -> list[list[int]] | None:
     """Binary greatest lower bounds of a poset, or None if some pair
     lacks one.  ``rows[i]`` has bit j iff i ≤ j."""
     n = len(rows)
-    below = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            below[j] |= 1 << i
+    below = _below_rows(rows)
     table: list[list[int]] = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -161,21 +179,14 @@ def _glb_table(rows: tuple[int, ...]) -> list[list[int]] | None:
     return table
 
 
-def _meet_structure(table: list[list[int]], *, with_zero: bool) -> FiniteStructure:
+def _meet_structure(table: list[list[int]]) -> FiniteStructure:
     n = len(table)
-    name = "semilattice0" if with_zero else "semilattice"
-    sig = template(name).signature
+    sig = template("semilattice").signature
     graph = frozenset(
         (i, j, table[i][j]) for i in range(n) for j in range(n)
     )
-    constants = {}
-    if with_zero:
-        bottom = 0
-        for x in range(1, n):
-            bottom = table[bottom][x]
-        constants["zero"] = bottom
     return FiniteStructure(
-        signature=sig, size=n, tuples={"meet": graph}, constants=constants
+        signature=sig, size=n, tuples={"meet": graph}, constants={}
     )
 
 
@@ -185,14 +196,12 @@ def gen_semilattices(
     *,
     seed: int | None = None,
     count: int = 10,
-    with_zero: bool = False,
 ) -> list[FiniteStructure]:
     """Meet-semilattices as structures with a functional ``meet``.
 
     Exhaustive mode filters the labeled posets for glb-existence (every
     finite meet-semilattice is its order's glb table).  Random mode
     intersects-closes a random family of sets and uses ∩ as the meet.
-    ``with_zero`` designates the global meet (always exists: fold ∧).
     """
     if n < 1:
         raise EmptyUniverse("semilattices need at least one point")
@@ -201,7 +210,7 @@ def gen_semilattices(
         for rows in _exhaustive_poset_rows(n):
             table = _glb_table(rows)
             if table is not None:
-                out.append(_meet_structure(table, with_zero=with_zero))
+                out.append(_meet_structure(table))
         return out
     if mode == "random":
         rng = SplitMix64(0 if seed is None else seed)
@@ -225,7 +234,7 @@ def gen_semilattices(
             table = [
                 [index[a & b] for b in elems] for a in elems
             ]
-            out.append(_meet_structure(table, with_zero=with_zero))
+            out.append(_meet_structure(table))
         return out
     raise InputError(f"unknown semilattice mode {mode!r}")
 
@@ -257,17 +266,8 @@ def count_semilattice_tables(n: int) -> int:
 def down_set_lattice(poset: FiniteStructure) -> FiniteStructure:
     """The bounded distributive lattice of down-sets of a poset, ordered
     by inclusion, with ∧ = ∩ and ∨ = ∪."""
-    rows = leq_rows(poset)
     n = poset.size
-    below = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            below[j] |= 1 << i
-    downs = sorted(
-        m
-        for m in range(1 << n)
-        if all(below[i] & ~m == 0 for i in bits(m))
-    )
+    downs = _closed_sets(_below_rows(leq_rows(poset)))
     index = {m: k for k, m in enumerate(downs)}
     sig = template("bounded_lattice").signature
     meet = frozenset(
@@ -437,16 +437,9 @@ def _poset_space(
     when the poset is not bounded."""
     rows = leq_rows(poset)
     n = poset.size
-    below = [0] * n
-    for i in range(n):
-        for j in bits(rows[i]):
-            below[j] |= 1 << i
-    downs = sorted(
-        m for m in range(1 << n) if all(below[i] & ~m == 0 for i in bits(m))
-    )
-    ups = sorted(
-        m for m in range(1 << n) if all(rows[i] & ~m == 0 for i in bits(m))
-    )
+    below = _below_rows(rows)
+    downs = _closed_sets(below)
+    ups = _closed_sets(rows)
     zero = one = None
     if with_constants:
         full = (1 << n) - 1
@@ -717,13 +710,14 @@ def gen_separated_instances(
 
 
 def random_oracle_instances(
-    count: int, seed: int, *, max_universe: int = 8, base: int = 10
+    count: int, seed: int, *, max_universe: int = 8
 ) -> list[BeaOracle]:
-    """Random family-induced linkage oracles, for separation sweeps."""
+    """Random family-induced linkage oracles, for separation sweeps: each
+    the linkage of a family of 2 .. ``max_universe`` subsets of 10 points."""
     rng = SplitMix64(seed)
     out = []
     for _ in range(count):
         size = rng.randint(2, max_universe)
-        fams = gen_families(base, size, rng.next_u64(), 1)
+        fams = gen_families(10, size, rng.next_u64(), 1)
         out.append(family_bea(fams[0]))
     return out

@@ -43,7 +43,6 @@ from ..errors import (
     InputError,
     PaschFailure,
     S1Violation,
-    TimeoutExceeded,
 )
 from ..homs import enumerate_homs, is_separated
 from ..rng import SplitMix64
@@ -342,8 +341,6 @@ def verify_hms(
     corpus.extend(gen_semilattices(rand_max, "random", seed=seed, count=samples))
 
     def check(x: FiniteStructure) -> dict:
-        homset = enumerate_homs(x, semi_t)
-        filters_ok = _principal_filters_ok(x, homset.homs.sets)
         try:
             dual_x, _, ev = bidual_and_evaluate(
                 x, semi_t, semi01_t, max_source=8, max_carrier=64
@@ -359,7 +356,9 @@ def verify_hms(
                 "symbol": exc.symbol,
                 "pass": False,
             }
-        agrees = _filter_form_agrees(x, homset.homs.sets)
+        homs = dual_x.carrier.homs
+        filters_ok = _principal_filters_ok(x, homs.sets)
+        agrees = _filter_form_agrees(x, homs.sets)
         ok = (
             filters_ok
             and ev.injective
@@ -371,7 +370,7 @@ def verify_hms(
         return {
             "n": x.size,
             "closed": True,
-            "homs": len(homset.homs),
+            "homs": len(homs),
             "principal_filters": filters_ok,
             "dual_size": dual_x.size,
             "bijective": ev.injective and ev.surjective,
@@ -469,7 +468,7 @@ def verify_betweenness(
         x = minimal_betweenness(n)
         homset = enumerate_homs(x, s0_t)
         convex = _convex_masks(x)
-        sep = is_separated(x, s0_t)
+        sep = is_separated(x, s0_t, homset=homset)
         ok = (
             len(homset.homs) == n + 2
             and set(homset.homs.sets) == convex
@@ -555,8 +554,8 @@ def verify_betweenness(
         ax = betweenness_axioms(x)
         if not (ax["reflexive"] and ax["composition"]):
             return {"n": x.size, "applicable": False, "pass": True}
-        sep = is_separated(x, nat_t)
         homset = enumerate_homs(x, nat_t)
+        sep = is_separated(x, nat_t, homset=homset)
         masks = homset.homs.sets
         rel = x.rel("between")
         witnesses_ok = all(
@@ -744,13 +743,11 @@ def verify_ultimate(
     budget: float = 600.0,
     max_size: int = 5,
     threads: int = 1,
-    names=None,
 ) -> dict:
     deadline = time.monotonic() + budget
-    names = list(names) if names is not None else template_names()
     sections = []
     rng = SplitMix64(seed)
-    for name in names:
+    for name in template_names():
         tseed = rng.next_u64()
         if time.monotonic() > deadline:
             sections.append({"template": name, "outcome": "timeout"})
@@ -763,15 +760,12 @@ def verify_ultimate(
         def check(inst, _name=name, _is_oracle=is_oracle) -> dict:
             if time.monotonic() > deadline:
                 return {"outcome": "timeout", "pass": True}
-            try:
-                oracle = (
-                    inst if _is_oracle else oracle_from_homs(inst, template(_name))
-                )
-                if len(oracle.halfspaces) > 64:
-                    return {"outcome": "skipped_large", "pass": True}
-                report = ultimate_bidual_report(oracle, ultimate_dual(oracle))
-            except TimeoutExceeded:
-                return {"outcome": "timeout", "pass": True}
+            oracle = (
+                inst if _is_oracle else oracle_from_homs(inst, template(_name))
+            )
+            if len(oracle.halfspaces) > 64:
+                return {"outcome": "skipped_large", "pass": True}
+            report = ultimate_bidual_report(oracle, ultimate_dual(oracle))
             return {
                 "outcome": "checked",
                 "n": oracle.universe,
@@ -797,9 +791,7 @@ def verify_ultimate(
 
 # -------------------------------------------------------------- biconvex
 
-def verify_biconvex(
-    max_size: int = 6, *, seed: int = 2026, threads: int = 1
-) -> dict:
+def verify_biconvex(max_size: int = 6, *, seed: int = 2026) -> dict:
     from ..convexity import (
         check_normal,
         check_pasch_convex,
@@ -833,7 +825,7 @@ def verify_biconvex(
 # ------------------------------------------------------------ equivalence
 
 def verify_hom_equivalence(
-    max_size: int = 4, count: int = 10, *, seed: int = 17, threads: int = 1
+    max_size: int = 4, count: int = 10, *, seed: int = 17
 ) -> dict:
     """Hom-sets versus halfspaces of the hom-induced linkage, across every
     finite-signature template in the catalog."""
@@ -857,7 +849,7 @@ def verify_hom_equivalence(
                 "pass": rep.equal,
             }
 
-        entries = ordered_map(check, instances, threads)
+        entries = ordered_map(check, instances)
         sections.append(
             {
                 "template": name,
@@ -871,35 +863,35 @@ def verify_hom_equivalence(
 
 # --------------------------------------------------------------- dispatch
 
-def _given(**values) -> dict:
-    """The CLI values that were given (a ``0`` included); each verifier's
-    own defaults fill in the rest."""
-    return {name: v for name, v in values.items() if v is not None}
-
-
+# suite -> (its verifier's name, {CLI value it reads: the keyword it
+# sets}).  ``threads`` is passed only to the verifiers that split their
+# instances across a pool.  The verifier is looked up by name at call
+# time, so a rebinding of the module attribute (perfbench's tracer wraps
+# each verifier this way) is what runs.
 _SUITES = {
-    "priestley": lambda max_size, samples, seed, threads: verify_priestley(
-        **_given(max_size=max_size), threads=threads
+    "priestley": (
+        "verify_priestley", {"max_size": "max_size", "threads": "threads"}
     ),
-    "stone": lambda max_size, samples, seed, threads: verify_stone(
-        **_given(max_size=max_size), threads=threads
+    "stone": ("verify_stone", {"max_size": "max_size", "threads": "threads"}),
+    "hms": (
+        "verify_hms",
+        {"max_size": "max_size", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
     ),
-    "hms": lambda max_size, samples, seed, threads: verify_hms(
-        **_given(max_size=max_size, samples=samples, seed=seed), threads=threads
+    "biconvex": ("verify_biconvex", {"max_size": "max_size", "seed": "seed"}),
+    "pasch": (
+        "verify_pasch",
+        {"max_size": "max_universe", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
     ),
-    "biconvex": lambda max_size, samples, seed, threads: verify_biconvex(
-        **_given(max_size=max_size, seed=seed), threads=threads
+    "betweenness": (
+        "verify_betweenness",
+        {"samples": "samples", "seed": "seed", "threads": "threads"},
     ),
-    "pasch": lambda max_size, samples, seed, threads: verify_pasch(
-        **_given(samples=samples, seed=seed, max_universe=max_size),
-        threads=threads,
-    ),
-    "betweenness": lambda max_size, samples, seed, threads: verify_betweenness(
-        **_given(samples=samples, seed=seed), threads=threads
-    ),
-    "ultimate": lambda max_size, samples, seed, threads: verify_ultimate(
-        **_given(samples=samples, seed=seed, max_size=max_size),
-        threads=threads,
+    "ultimate": (
+        "verify_ultimate",
+        {"max_size": "max_size", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
     ),
 }
 
@@ -916,13 +908,26 @@ def run_suite(
     seed: int | None = None,
     threads: int = 1,
 ) -> dict:
+    """Run one suite with the CLI values that were given (a ``0``
+    included); the verifier's own defaults fill in the rest.  A value the
+    suite does not read is refused rather than ignored."""
     try:
-        runner = _SUITES[name]
+        verifier_name, reads = _SUITES[name]
     except KeyError:
         raise DualityError(
             f"unknown suite {name!r}; choices: {', '.join(sorted(_SUITES))}"
         ) from None
+    given = {"max_size": max_size, "samples": samples, "seed": seed}
+    for option, value in given.items():
+        if value is not None and option not in reads:
+            flag = "--" + option.replace("_", "-")
+            raise InputError(f"suite {name!r} does not read {flag}")
     # Their generators draw universes of 2 .. max_size points.
     if name in ("pasch", "ultimate") and max_size is not None and max_size < 2:
         raise InputError(f"suite {name!r} needs --max-size of at least 2")
-    return runner(max_size, samples, seed, threads)
+    given["threads"] = threads
+    return globals()[verifier_name](**{
+        reads[option]: value
+        for option, value in given.items()
+        if option in reads and value is not None
+    })

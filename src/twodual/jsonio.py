@@ -270,16 +270,16 @@ def load_path(path: str):
 
 # ----------------------------------------------------------------- corpus
 
-def corpus_lines(objects, *, seed: int, generator: str = GENERATOR_ID):
+def corpus_lines(objects, *, seed: int):
     """The JSON-lines content of a corpus: meta header, one doc per line."""
-    yield dumps({"kind": "corpus-meta", "seed": seed, "generator": generator})
+    yield dumps({"kind": "corpus-meta", "seed": seed, "generator": GENERATOR_ID})
     for obj in objects:
         yield dumps(to_json(obj))
 
 
-def write_corpus(path: str, objects, *, seed: int, generator: str = GENERATOR_ID):
+def write_corpus(path: str, objects, *, seed: int):
     with open(path, "w", encoding="utf-8") as fh:
-        for line in corpus_lines(objects, seed=seed, generator=generator):
+        for line in corpus_lines(objects, seed=seed):
             fh.write(line + "\n")
 
 

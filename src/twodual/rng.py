@@ -48,22 +48,10 @@ class SplitMix64:
     def chance(self, num: int, den: int) -> bool:
         return self.below(den) < num
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("choice from empty sequence")
-        return seq[self.below(len(seq))]
-
     def shuffle(self, items: list) -> None:
         for i in range(len(items) - 1, 0, -1):
             j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample(self, seq, k: int) -> list:
-        if k > len(seq):
-            raise ValueError("sample larger than population")
-        pool = list(seq)
-        self.shuffle(pool)
-        return pool[:k]
 
     def mask(self, width: int) -> int:
         """Random ``width``-bit mask (each bit independent, p = 1/2)."""
@@ -76,7 +64,3 @@ class SplitMix64:
             out = (out << take) | (self.next_u64() & ((1 << take) - 1))
             remaining -= take
         return out
-
-    def fork(self) -> "SplitMix64":
-        """Independent child stream (seeded from this one)."""
-        return SplitMix64(self.next_u64())

@@ -35,6 +35,7 @@ def test_tracer_records_the_biconvex_audit_spans(capsys):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     names = {span[2] for span in tracer.spans}
+    assert "instances.verifiers.verify_biconvex" in names
     assert "duality.ultimate_bidual_report" in names
     assert "convexity.check_pasch_convex" in names
     assert "convexity.check_complemented" in names

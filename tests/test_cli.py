@@ -234,6 +234,23 @@ def test_verify_rejects_a_max_size_its_suite_cannot_draw(capsys):
 
 
 @pytest.mark.parametrize(
+    "suite, flag, value",
+    [
+        ("stone", "--seed", "3"),
+        ("betweenness", "--max-size", "4"),
+        ("biconvex", "--samples", "5"),
+    ],
+)
+def test_verify_refuses_a_value_its_suite_does_not_read(suite, flag, value, capsys):
+    code = main(["verify", "--suite", suite, flag, value, "--threads", "1",
+                 "--format", "json"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"suite {suite!r} does not read {flag}" in captured.err
+
+
+@pytest.mark.parametrize(
     "extra, digest",
     [
         (["--max-size", "5"],

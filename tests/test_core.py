@@ -12,7 +12,6 @@ from twodual.core import (
     collisions,
     mask_of,
     subset_images,
-    submasks,
     substructure,
     transpose,
     validate,
@@ -79,11 +78,6 @@ def test_every_exported_name_resolves():
 
     for name in twodual.__all__:
         assert hasattr(twodual, name), name
-
-
-def test_submasks_of_a_three_bit_mask():
-    got = sorted(submasks(0b1011))
-    assert got == [0, 1, 2, 3, 8, 9, 10, 11]
 
 
 def test_signature_orders_symbols_and_constants():
