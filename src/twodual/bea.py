@@ -7,9 +7,9 @@ universe, whether ``s`` is linked to ``t``.  Two realizations are provided:
     The positive pairs are stored exhaustively as a frozen set of mask
     pairs.  Nothing is assumed about them; the axiom checkers below do the
     honest sweeps.  Within the ``pair-axiom-sweep`` cap, the ``i3`` check
-    reads the table as a pair-index bitset (below), and ``i1`` and the
-    halfspace backtrack read its up-closure; past it, they join or scan
-    the stored pairs.
+    reads the table as a pair-index bitset (below), and ``i1``, the
+    halfspace backtrack and :func:`separate` read its up-closure; past it,
+    they join or scan the stored pairs.
 
 ``induced``
     A tuple of *halfspace* masks ``H`` is stored and ``s ⋈ t`` holds iff no
@@ -643,54 +643,49 @@ def is_halfspace(oracle: BeaOracle, u: int) -> bool:
     return not oracle.query(u, full & ~u)
 
 
+def _cover_test(oracle: BeaOracle):
+    """The function ``covered(s, t)``: whether some linked pair
+    ``(s', t')`` has ``s' ⊆ s`` and ``t' ⊆ t``.  An induced oracle is
+    monotone, so that is its query.  Within the ``pair-axiom-sweep`` cap a
+    table answers with one bit test on its up-closure, held as bytes since
+    shifting the ``4^n``-bit int copies it; past it, the stored pairs are
+    scanned."""
+    if oracle.pairs is None:
+        return oracle.query
+    n = oracle.universe
+    if n > get_cap("pair-axiom-sweep"):
+        pairs = oracle.pairs
+        return lambda s, t: any(a & ~s == 0 and b & ~t == 0 for a, b in pairs)
+    closure = up_closure(linkage_bits(oracle), n)
+    above = closure.to_bytes(((1 << 2 * n) + 7) >> 3, "little")
+
+    def covered(s: int, t: int) -> bool:
+        x = s << n | t
+        return bool(above[x >> 3] >> (x & 7) & 1)
+
+    return covered
+
+
 def _halfspaces_backtrack(oracle: BeaOracle) -> list[int]:
+    """Every halfspace, by deciding one element at a time which side it
+    joins.  A partial split extends to a halfspace iff no linked pair lies
+    at or below it, so each branch follows a cover test; the last one is on
+    the complete split, and a leaf needs no further certificate."""
     n = oracle.universe
     if oracle.zero_elem is not None and oracle.zero_elem == oracle.one_elem:
         return []  # no side can both hold and miss the one constant
+    covered = _cover_test(oracle)
     results = []
-    table = oracle.pairs
-    above = None
-    if table is not None and n <= get_cap("pair-axiom-sweep"):
-        # A stored pair dooms every completion once it sits inside the
-        # decided sides, s inside and t outside: once the pair of sides is
-        # in the table's up-closure.  Bit tests go through bytes, since
-        # shifting the 4^n-bit int copies it.
-        closure = up_closure(linkage_bits(oracle), n)
-        above = closure.to_bytes(((1 << 2 * n) + 7) >> 3, "little")
-
-    def viable(inmask: int, outmask: int) -> bool:
-        if above is not None:
-            x = inmask << n | outmask
-            return not above[x >> 3] >> (x & 7) & 1
-        if table is not None:
-            return not any(
-                s & ~inmask == 0 and t & ~outmask == 0 for s, t in table
-            )
-        # Some halfspace of the realization extends the partial split iff
-        # the decided pair is not linked.
-        return not oracle.query(inmask, outmask)
 
     def rec(x: int, inmask: int, outmask: int) -> None:
         if x == n:
-            if above is not None:
-                # Constants sit on their sides by construction and the
-                # sides are complements: the certificate is one bit test.
-                if viable(inmask, outmask):
-                    results.append(inmask)
-            elif is_halfspace(oracle, inmask):
-                results.append(inmask)
+            results.append(inmask)
             return
         bit = 1 << x
-        if oracle.zero_elem == x:
-            choices = (outmask | bit, None)
-        elif oracle.one_elem == x:
-            choices = (None, inmask | bit)
-        else:
-            choices = (outmask | bit, inmask | bit)
-        if choices[0] is not None and viable(inmask, choices[0]):
-            rec(x + 1, inmask, choices[0])
-        if choices[1] is not None and viable(choices[1], outmask):
-            rec(x + 1, choices[1], outmask)
+        if oracle.one_elem != x and not covered(inmask, outmask | bit):
+            rec(x + 1, inmask, outmask | bit)
+        if oracle.zero_elem != x and not covered(inmask | bit, outmask):
+            rec(x + 1, inmask | bit, outmask)
 
     rec(0, 0, 0)
     return sorted(results)
@@ -753,43 +748,30 @@ def separate(oracle: BeaOracle, a: int, b: int) -> int:
             witness=(a, b),
         )
     n = oracle.universe
-    inside = a
-
-    if oracle.halfspaces is not None:
-        # Fast path: track which stored halfspaces still extend the sides.
-        cands = [h for h in oracle.halfspaces if a & ~h == 0 and b & h == 0]
-        for p in range(n):
-            bit = 1 << p
-            if (inside | b) & bit:
-                continue
-            keep = [h for h in cands if h & bit]
-            if keep:
-                inside |= bit
-                cands = keep
-        outside = b
-        for p in range(n):
-            bit = 1 << p
-            if (inside | outside) & bit:
-                continue
-            avoid = [h for h in cands if not h & bit]
-            if avoid:
-                outside |= bit
-                cands = avoid
-    else:
+    covered = _cover_test(oracle)
+    if oracle.pairs is not None:
+        # Tables need not be monotone: only the stored pairs whose right
+        # side is exactly b block the inside.
         linked_to_b = [s for s, t in oracle.pairs if t == b]
-        for p in range(n):
-            bit = 1 << p
-            if (inside | b) & bit:
-                continue
-            grown = inside | bit
-            if not any(s & ~grown == 0 for s in linked_to_b):
-                inside = grown
-        outside = b
+
+        def blocked(grown: int) -> bool:
+            return any(s & ~grown == 0 for s in linked_to_b)
+
+    else:
+        def blocked(grown: int) -> bool:
+            return covered(grown, b)
+
+    inside = a
+    for p in range(n):
+        bit = 1 << p
+        if not (inside | b) & bit and not blocked(inside | bit):
+            inside |= bit
+    if oracle.pairs is not None:
         clash = next(
             (
                 (s, t)
                 for s, t in oracle.pairs
-                if s & ~inside == 0 and t & ~outside == 0
+                if s & ~inside == 0 and t & ~b == 0
             ),
             None,
         )
@@ -797,15 +779,11 @@ def separate(oracle: BeaOracle, a: int, b: int) -> int:
             raise PaschFailure(
                 "a stored pair already links the grown sides", witness=clash
             )
-        for p in range(n):
-            bit = 1 << p
-            if (inside | outside) & bit:
-                continue
-            grown = outside | bit
-            if not any(
-                s & ~inside == 0 and t & ~grown == 0 for s, t in oracle.pairs
-            ):
-                outside = grown
+    outside = b
+    for p in range(n):
+        bit = 1 << p
+        if not (inside | outside) & bit and not covered(inside, outside | bit):
+            outside |= bit
 
     if inside | outside != full:
         stuck = next(p for p in range(n) if not (inside | outside) >> p & 1)

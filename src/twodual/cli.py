@@ -11,7 +11,7 @@ Subcommands
 
 Exit codes: 0 success / property verified, 1 counterexample found (a
 report is still emitted), 2 malformed input or usage, 3 a size cap or
-time budget was exceeded.
+the hom limit was exceeded.
 
 All JSON output is deterministic: keys sorted, compact separators, no
 machine-dependent content.  ``--threads`` only parallelizes independent
@@ -43,7 +43,6 @@ from .errors import (
     PreconditionViolated,
     RoundTripFailure,
     S1Violation,
-    TimeoutExceeded,
     UniverseTooLarge,
 )
 from .instances import (
@@ -64,7 +63,7 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 
-_CAP_ERRORS = (UniverseTooLarge, TimeoutExceeded, HomLimitExceeded)
+_CAP_ERRORS = (UniverseTooLarge, HomLimitExceeded)
 _FINDING_ERRORS = (
     AxiomsFail,
     PaschFailure,
@@ -115,6 +114,18 @@ def _finite_template(name: str) -> TwoTemplate:
             raise InputError("template structures live on two elements")
         return TwoTemplate(obj)
     return template(name)
+
+
+def _count(raw: str) -> int:
+    """An argparse type for sizes and counts: a non-negative integer, so
+    that a negative value exits 2 instead of checking nothing."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
 
 
 def _mask_arg(raw: str, universe: int, what: str) -> int:
@@ -433,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=suite_names())
-    p.add_argument("--max-size", dest="max_size", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--max-size", dest="max_size", type=_count)
+    p.add_argument("--samples", type=_count)
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--threads",
@@ -454,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=10)
+    p.add_argument("--count", type=_count, default=10)
     p.add_argument("--out", metavar="FILE", help="default: JSON lines on stdout")
     common(p)
     p.set_defaults(func=cmd_gen)

@@ -97,7 +97,6 @@ def dual(
     *,
     max_source: int | None = None,
     max_carrier: int | None = None,
-    budget: float | None = None,
 ) -> DualStructure:
     """The dual of ``structure`` under the pair ``(D, E)``.
 
@@ -114,7 +113,7 @@ def dual(
     src_cap = max_source if max_source is not None else get_cap("dual-source")
     if n > src_cap:
         raise UniverseTooLarge("dual-source", src_cap, n)
-    carrier = enumerate_homs(structure, template_d, budget=budget)
+    carrier = enumerate_homs(structure, template_d)
     m = len(carrier.homs)
     car_cap = max_carrier if max_carrier is not None else get_cap("dual-carrier")
     if m > car_cap:
@@ -178,7 +177,6 @@ def bidual_and_evaluate(
     *,
     max_source: int | None = None,
     max_carrier: int | None = None,
-    budget: float | None = None,
 ) -> tuple[DualStructure, HomSet, EvalReport]:
     """Dualize twice and audit the evaluation map ``x -> eva_x``.
 
@@ -193,9 +191,8 @@ def bidual_and_evaluate(
         template_e,
         max_source=max_source,
         max_carrier=max_carrier,
-        budget=budget,
     )
-    bidual = enumerate_homs(ds.induced, template_e, budget=budget)
+    bidual = enumerate_homs(ds.induced, template_e)
     rows = evaluation_rows(ds.carrier)
     members = bidual.homs.member_set
     for x, row in enumerate(rows):

@@ -43,10 +43,6 @@ class UniverseTooLarge(DualityError):
         super().__init__(msg)
 
 
-class TimeoutExceeded(DualityError):
-    """A wall-clock budget ran out before the computation finished."""
-
-
 class HomLimitExceeded(DualityError):
     """More homomorphisms exist than the configured enumeration limit."""
 

@@ -18,7 +18,6 @@ rows (or their complements) along it.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 
 from .caps import get_cap, guard
@@ -33,7 +32,6 @@ from .errors import (
     HomLimitExceeded,
     InputError,
     SignatureMismatch,
-    TimeoutExceeded,
 )
 
 
@@ -170,7 +168,6 @@ def enumerate_homs(
     template: TwoTemplate,
     *,
     method: str = "backtrack",
-    budget: float | None = None,
 ) -> HomSet:
     """All homomorphisms ``structure -> template``.
 
@@ -179,7 +176,7 @@ def enumerate_homs(
     its compiled shape, see the module notes for the memory it keeps) or
     ``"brute"`` (tries every one of the ``2^n`` maps; independent
     cross-check, capped).  The ``hom-limit`` cap bounds the number of
-    homs; ``budget`` is a wall-clock allowance in seconds.
+    homs.
     """
     if structure.signature != template.signature:
         raise SignatureMismatch("structure and template signatures differ")
@@ -188,15 +185,11 @@ def enumerate_homs(
 
     n = structure.size
     masks: list[int] = []
-    deadline = time.monotonic() + budget if budget is not None else None
 
     if method == "brute":
         guard("hom-brute-universe", n, "brute-force hom enumeration")
         flat = _constraints(structure, template)
         for mask in range(1 << n):
-            if deadline is not None and mask % 1024 == 0:
-                if time.monotonic() > deadline:
-                    raise TimeoutExceeded("hom enumeration ran out of time")
             if seed is None:
                 break
             if any(v >= 0 and ((mask >> x) & 1) != v for x, v in enumerate(seed)):
@@ -218,7 +211,6 @@ def enumerate_homs(
     order = sorted(range(n), key=lambda x: (-degree[x], x))
 
     h = seed
-    nodes = 0
 
     def propagate(start: int, trail: list) -> bool:
         """Re-check constraints around newly assigned elements; force unique
@@ -250,11 +242,6 @@ def enumerate_homs(
                 break
 
     def descend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % 256 == 0:
-            if time.monotonic() > deadline:
-                raise TimeoutExceeded("hom enumeration ran out of time")
         x = next((e for e in order if h[e] < 0), None)
         if x is None:
             mask = 0

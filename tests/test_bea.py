@@ -653,3 +653,153 @@ def test_table_backtrack_and_i1_scan_pairs_past_the_sweep_cap(monkeypatch):
         brute = all_halfspaces(oracle, method="brute").sets
         assert all_halfspaces(oracle, method="backtrack").sets == brute
         assert check_axiom(oracle, "i1") == _report("i1", _i1_failures(oracle))
+
+
+def reference_separate(oracle, a, b):
+    """Separation by its two former paths: candidate tracking over the
+    stored halfspaces of an induced oracle, pair scans for a table."""
+    full = oracle.full_mask
+    a &= full
+    b &= full
+    if oracle.query(a, b):
+        raise PreconditionViolated("the sides are linked; nothing separates them")
+    if a & b:
+        raise PaschFailure(
+            "sides overlap yet are not linked; singleton axioms must fail",
+            witness=(a, b),
+        )
+    n = oracle.universe
+    inside = a
+    if oracle.halfspaces is not None:
+        cands = [h for h in oracle.halfspaces if a & ~h == 0 and b & h == 0]
+        for p in range(n):
+            bit = 1 << p
+            if (inside | b) & bit:
+                continue
+            keep = [h for h in cands if h & bit]
+            if keep:
+                inside |= bit
+                cands = keep
+        outside = b
+        for p in range(n):
+            bit = 1 << p
+            if (inside | outside) & bit:
+                continue
+            avoid = [h for h in cands if not h & bit]
+            if avoid:
+                outside |= bit
+                cands = avoid
+    else:
+        linked_to_b = [s for s, t in oracle.pairs if t == b]
+        for p in range(n):
+            bit = 1 << p
+            if (inside | b) & bit:
+                continue
+            grown = inside | bit
+            if not any(s & ~grown == 0 for s in linked_to_b):
+                inside = grown
+        outside = b
+        clash = next(
+            (
+                (s, t)
+                for s, t in oracle.pairs
+                if s & ~inside == 0 and t & ~outside == 0
+            ),
+            None,
+        )
+        if clash is not None:
+            raise PaschFailure(
+                "a stored pair already links the grown sides", witness=clash
+            )
+        for p in range(n):
+            bit = 1 << p
+            if (inside | outside) & bit:
+                continue
+            grown = outside | bit
+            if not any(
+                s & ~inside == 0 and t & ~grown == 0 for s, t in oracle.pairs
+            ):
+                outside = grown
+    if inside | outside != full:
+        stuck = next(p for p in range(n) if not (inside | outside) >> p & 1)
+        raise PaschFailure(
+            f"element {stuck} can join neither side; the oracle breaks the "
+            "monotonicity or transit axioms",
+            stuck_point=stuck,
+        )
+    if not is_halfspace(oracle, inside):
+        raise PaschFailure(
+            "the grown side fails the halfspace certificate",
+            witness=(inside, full & ~inside),
+        )
+    return inside
+
+
+def separation_outcome(fn, oracle, a, b):
+    """The halfspace, or the exception's type, message and payload."""
+    try:
+        return ("halfspace", fn(oracle, a, b))
+    except PaschFailure as exc:
+        kind = "stuck" if exc.stuck_point is not None else "witness"
+        return (kind, str(exc), exc.stuck_point, exc.witness)
+    except PreconditionViolated as exc:
+        return ("precondition", str(exc))
+
+
+def induced_oracles(seed, count, max_universe):
+    """Seeded induced oracles of 1 .. 2n random halfspaces, every other
+    one with designated constants."""
+    rng = SplitMix64(seed)
+    for i in range(count):
+        n = 1 + i % max_universe
+        zero = one = None
+        if i % 2:
+            zero, one = rng.below(n), rng.below(n)
+        sets = [rng.mask(n) for _ in range(rng.below(2 * n) + 1)]
+        yield BeaOracle.from_halfspaces(n, sets, zero=zero, one=one)
+
+
+def separation_corpus():
+    yield from induced_oracles(67, 40, 5)
+    yield from damaged_tables(71, 60, 4)
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
+def test_separate_matches_the_two_path_reference(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
+    kinds = set()
+    for oracle in separation_corpus():
+        for s in range(1 << oracle.universe):
+            for t in range(1 << oracle.universe):
+                want = separation_outcome(reference_separate, oracle, s, t)
+                assert separation_outcome(separate, oracle, s, t) == want
+                kinds.add((oracle.realization, want[0]))
+    assert kinds == {
+        (realization, kind)
+        for realization in ("induced", "table")
+        for kind in ("halfspace", "stuck", "witness", "precondition")
+    } - {("induced", "stuck")}
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
+def test_cover_test_matches_its_definition(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
+    for oracle in separation_corpus():
+        n = oracle.universe
+        pairs = oracle_to_table(oracle).pairs
+        covered = bea._cover_test(oracle)
+        for s in range(1 << n):
+            for t in range(1 << n):
+                want = any(a & ~s == 0 and b & ~t == 0 for a, b in pairs)
+                assert covered(s, t) == want, (oracle, s, t)
+
+
+def test_induced_backtrack_matches_brute():
+    found = set()
+    for oracle in induced_oracles(73, 80, 6):
+        brute = all_halfspaces(oracle, method="brute").sets
+        assert tuple(_halfspaces_backtrack(oracle)) == brute
+        found.add((oracle.zero_elem is None, len(brute) > 1))
+    assert found == {(True, True), (True, False), (False, True), (False, False)}

@@ -251,6 +251,22 @@ def test_verify_refuses_a_value_its_suite_does_not_read(suite, flag, value, caps
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "priestley", "--max-size", "-1"],
+        ["verify", "--suite", "hms", "--samples", "-5"],
+        ["gen", "--class", "poset", "--size", "3", "--count", "-2"],
+    ],
+    ids=["max-size", "samples", "count"],
+)
+def test_negative_counts_are_usage_errors(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is negative" in captured.err
+
+
+@pytest.mark.parametrize(
     "extra, digest",
     [
         (["--max-size", "5"],
