@@ -364,7 +364,8 @@ def cmd_gen(args) -> int:
     elif cls == "dlattice":
         objs = gen_distributive_lattices(size, "random", seed=seed, count=count)
     elif cls == "family":
-        members = min(2 * size, 1 << min(size, 16))
+        # Clamped so that gen_families, not the shift, refuses a size below 1.
+        members = min(2 * size, 1 << min(max(size, 0), 16))
         objs = gen_families(size, members, seed, count)
     elif cls == "betweenness":
         objs = gen_betweenness(size, "random", seed=seed, count=count)

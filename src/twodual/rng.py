@@ -4,29 +4,77 @@ The generators and sampled sweeps must reproduce byte-identical corpora for
 a given seed regardless of interpreter or platform, so we carry a small
 splitmix64 implementation instead of relying on ``random``'s unspecified
 stream evolution across versions.
+
+splitmix64 is counter-based: output ``i`` is ``mix(seed + i * γ)``.  So
+``SplitMix64`` computes its outputs ahead, a block at a time, with the
+block's states packed one per 128-bit lane of a single int (SWAR) and
+mixed together.  The stream is the one the scalar recurrence gives, output
+for output; only the work is batched.  An instance holds its look-ahead
+buffer unlocked, so it belongs to one thread: give each thread its own.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+
 GENERATOR_ID = "splitmix64-v1"
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# Outputs computed per refill: doubling from the first size to the cap, so
+# a short-lived instance computes little more than it draws.
+_FIRST_BLOCK = 8
+_BLOCK_CAP = 256
+
+# The 64-bit words that hold the lane values, last lane first, when a
+# platform of byte order ``key`` reads back a block's ``to_bytes`` in that
+# order; the other word of each lane is padding.
+_VALUE_WORDS = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
+_WORDS = _VALUE_WORDS[sys.byteorder]
+
+
+@functools.cache
+def _lanes(k: int) -> tuple[int, int, int]:
+    """``(ones, steps, lane_mask)`` for ``k`` lanes of 128 bits: 1 in each
+    lane, ``(i + 1) * γ mod 2^64`` in lane ``i``, and 2^64 - 1 in each."""
+    ones = sum(1 << 128 * i for i in range(k))
+    steps = sum(((i + 1) * _GAMMA & _MASK64) << 128 * i for i in range(k))
+    return ones, steps, ones * _MASK64
 
 
 class SplitMix64:
     """splitmix64 stream; seed is any Python int (taken mod 2^64)."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_ahead", "_block")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
+        self._ahead: list[int] = []  # outputs computed ahead, next one last
+        self._block = _FIRST_BLOCK
+
+    def _draw_ahead(self) -> list[int]:
+        """Compute the next block of outputs into the buffer.  A lane's
+        xor-shift pulls its neighbour's low bits only into the 64 padding
+        bits, which the lane mask clears; a multiply by a constant below
+        2^64 stays inside the 128-bit lane."""
+        k = self._block
+        ones, steps, lm = _lanes(k)
+        z = (self._state * ones + steps) & lm
+        z = ((z ^ (z >> 30)) & lm) * _MIX1 & lm
+        z = ((z ^ (z >> 27)) & lm) * _MIX2 & lm
+        z = (z ^ (z >> 31)) & lm
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        self._block = min(2 * k, _BLOCK_CAP)
+        words = memoryview(z.to_bytes(16 * k, sys.byteorder)).cast("Q")
+        self._ahead = ahead = words[_WORDS].tolist()
+        return ahead
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return (self._ahead or self._draw_ahead()).pop()
 
     def below(self, n: int) -> int:
         """Uniform integer in ``[0, n)`` via rejection sampling."""
@@ -56,7 +104,9 @@ class SplitMix64:
     def mask(self, width: int) -> int:
         """Random ``width``-bit mask (each bit independent, p = 1/2)."""
         if 0 < width <= 64:
-            return self.next_u64() & ((1 << width) - 1)
+            # The buffer directly, not next_u64: this is the pasch
+            # sampler's per-draw call.
+            return (self._ahead or self._draw_ahead()).pop() & ((1 << width) - 1)
         out = 0
         remaining = width
         while remaining > 0:

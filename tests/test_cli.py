@@ -266,6 +266,18 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert "is negative" in captured.err
 
 
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+@pytest.mark.parametrize(
+    "gen_class",
+    ["poset", "semilattice", "dlattice", "family", "betweenness", "biconvexity"],
+)
+def test_gen_refuses_sizes_below_one(gen_class, size, capsys):
+    assert main(["gen", "--class", gen_class, "--size", size]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
 @pytest.mark.parametrize(
     "extra, digest",
     [

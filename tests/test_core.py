@@ -1,5 +1,9 @@
 """Structures, signatures, set families, and the bit-mask helpers."""
 
+import array
+import random
+import sys
+
 import pytest
 
 from twodual.core import (
@@ -22,7 +26,7 @@ from twodual.errors import (
     FunctionNotClosed,
     UniverseTooLarge,
 )
-from twodual.rng import SplitMix64
+from twodual.rng import _VALUE_WORDS, SplitMix64
 
 
 def test_mask_helpers_round_trip():
@@ -52,6 +56,113 @@ def test_mask_keeps_the_word_loop_stream():
             # Both streams stay in step, so they drew as many words.
             assert fast.next_u64() == slow.next_u64()
 
+
+
+class ScalarSplitMix64:
+    """``SplitMix64`` as it was first written: each ``next_u64`` call steps
+    the state once and mixes it.  The methods built on ``next_u64`` are
+    borrowed unchanged, and every mask goes word by word."""
+
+    def __init__(self, seed):
+        self.state = seed & (1 << 64) - 1
+        self.drawn = 0
+
+    def next_u64(self):
+        self.drawn += 1
+        self.state = (self.state + 0x9E3779B97F4A7C15) & (1 << 64) - 1
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (1 << 64) - 1
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (1 << 64) - 1
+        return z ^ (z >> 31)
+
+    def mask(self, width):
+        return _mask_by_words(self, width)
+
+    below = SplitMix64.below
+    randint = SplitMix64.randint
+    chance = SplitMix64.chance
+    shuffle = SplitMix64.shuffle
+
+
+def test_stream_starts_with_the_published_splitmix64_vector():
+    rng = SplitMix64(0)
+    assert rng.next_u64() == 0xE220A8397B1DCDAF
+    assert rng.next_u64() == 0x6E789E6AA1B965F4
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 5, (1 << 64) - 1, (1 << 64) - 7, -3, (1 << 70) + 1]
+)
+def test_stream_matches_the_scalar_recurrence(seed):
+    # Seeds near 2^64 wrap inside the first block; -3 and 2^70 + 1 are
+    # taken mod 2^64.
+    rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+    assert [rng.next_u64() for _ in range(5000)] == [
+        ref.next_u64() for _ in range(5000)
+    ]
+
+
+def test_interleaved_calls_match_the_scalar_stream():
+    plan = random.Random(11)
+    for seed in (3, (1 << 64) - 2):
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for _ in range(3000):
+            op = plan.randrange(7)
+            if op == 0:
+                got, want = rng.next_u64(), ref.next_u64()
+            elif op == 1:
+                width = plan.choice([0, *range(1, 65)])
+                got, want = rng.mask(width), ref.mask(width)
+            elif op == 2:
+                width = plan.randint(65, 200)
+                got, want = rng.mask(width), ref.mask(width)
+            elif op == 3:
+                n = plan.choice([1, 2, 3, 7, 1000, (1 << 63) + 1])
+                got, want = rng.below(n), ref.below(n)
+            elif op == 4:
+                a = plan.randint(-50, 50)
+                b = a + plan.randint(0, 100)
+                got, want = rng.randint(a, b), ref.randint(a, b)
+            elif op == 5:
+                num, den = plan.randint(0, 5), plan.randint(1, 5)
+                got, want = rng.chance(num, den), ref.chance(num, den)
+            else:
+                items = list(range(plan.randint(0, 12)))
+                got, want = items[:], items[:]
+                rng.shuffle(got)
+                ref.shuffle(want)
+            assert got == want
+        # Past the doubling blocks (8 + 16 + ... + 256 = 504 words) and
+        # several more refills at the cap.
+        assert ref.drawn > 504 + 4 * 256
+        assert rng.next_u64() == ref.next_u64()
+
+
+def test_short_lived_instances_match_the_scalar_stream():
+    seeds = ScalarSplitMix64(17)
+    for i in range(3000):
+        seed = seeds.next_u64() if i % 2 else i
+        rng, ref = SplitMix64(seed), ScalarSplitMix64(seed)
+        for draw in range(1 + i % 3):
+            if (i + draw) % 2:
+                width = 1 + (i + draw) % 64
+                assert rng.mask(width) == ref.mask(width)
+            else:
+                assert rng.next_u64() == ref.next_u64()
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_block_words_are_read_the_same_on_either_byte_order(order):
+    # The block is decoded by native-order words, so check the slice each
+    # byte order uses: native words of the bytes such a platform writes.
+    lanes = [(0x0123456789ABCDEF * (i + 3)) & (1 << 64) - 1 for i in range(5)]
+    junk = 0xFEDCBA9876543210  # in the padding half of each lane
+    z = sum((value | junk << 64) << 128 * i for i, value in enumerate(lanes))
+    words = array.array("Q", z.to_bytes(16 * len(lanes), order))
+    assert words.itemsize == 8
+    if order != sys.byteorder:
+        words.byteswap()
+    assert words[_VALUE_WORDS[order]].tolist() == lanes[::-1]
 
 def test_subset_images_match_per_bit_mapping():
     rng = SplitMix64(41)
