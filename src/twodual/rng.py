@@ -15,7 +15,6 @@ buffer unlocked, so it belongs to one thread: give each thread its own.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 GENERATOR_ID = "splitmix64-v1"
@@ -25,10 +24,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# Outputs computed per refill: doubling from the first size to the cap, so
-# a short-lived instance computes little more than it draws.
-_FIRST_BLOCK = 8
-_BLOCK_CAP = 256
+# Outputs computed per refill.  Half the instances of a pasch check draw
+# 8 values or fewer, while most values go to the few that draw hundreds;
+# a block of 64 keeps both cheap (BENCH_11.json compares block sizes).
+_BLOCK = 64
 
 # The 64-bit words that hold the lane values, last lane first, when a
 # platform of byte order ``key`` reads back a block's ``to_bytes`` in that
@@ -36,40 +35,35 @@ _BLOCK_CAP = 256
 _VALUE_WORDS = {"little": slice(-2, None, -2), "big": slice(1, None, 2)}
 _WORDS = _VALUE_WORDS[sys.byteorder]
 
-
-@functools.cache
-def _lanes(k: int) -> tuple[int, int, int]:
-    """``(ones, steps, lane_mask)`` for ``k`` lanes of 128 bits: 1 in each
-    lane, ``(i + 1) * γ mod 2^64`` in lane ``i``, and 2^64 - 1 in each."""
-    ones = sum(1 << 128 * i for i in range(k))
-    steps = sum(((i + 1) * _GAMMA & _MASK64) << 128 * i for i in range(k))
-    return ones, steps, ones * _MASK64
+# Per 128-bit lane of a block: 1 in each, ``(i + 1) * γ mod 2^64`` in lane
+# ``i``, and 2^64 - 1 in each.
+_ONES = sum(1 << 128 * i for i in range(_BLOCK))
+_STEPS = sum(((i + 1) * _GAMMA & _MASK64) << 128 * i for i in range(_BLOCK))
+_LANE_MASK = _ONES * _MASK64
+_STRIDE = _BLOCK * _GAMMA & _MASK64
 
 
 class SplitMix64:
     """splitmix64 stream; seed is any Python int (taken mod 2^64)."""
 
-    __slots__ = ("_state", "_ahead", "_block")
+    __slots__ = ("_state", "_ahead")
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
         self._ahead: list[int] = []  # outputs computed ahead, next one last
-        self._block = _FIRST_BLOCK
 
     def _draw_ahead(self) -> list[int]:
         """Compute the next block of outputs into the buffer.  A lane's
         xor-shift pulls its neighbour's low bits only into the 64 padding
         bits, which the lane mask clears; a multiply by a constant below
         2^64 stays inside the 128-bit lane."""
-        k = self._block
-        ones, steps, lm = _lanes(k)
-        z = (self._state * ones + steps) & lm
+        lm = _LANE_MASK
+        z = (self._state * _ONES + _STEPS) & lm
         z = ((z ^ (z >> 30)) & lm) * _MIX1 & lm
         z = ((z ^ (z >> 27)) & lm) * _MIX2 & lm
         z = (z ^ (z >> 31)) & lm
-        self._state = (self._state + k * _GAMMA) & _MASK64
-        self._block = min(2 * k, _BLOCK_CAP)
-        words = memoryview(z.to_bytes(16 * k, sys.byteorder)).cast("Q")
+        self._state = (self._state + _STRIDE) & _MASK64
+        words = memoryview(z.to_bytes(16 * _BLOCK, sys.byteorder)).cast("Q")
         self._ahead = ahead = words[_WORDS].tolist()
         return ahead
 

@@ -266,7 +266,6 @@ def test_negative_counts_are_usage_errors(argv, capsys):
     assert "is negative" in captured.err
 
 
-
 @pytest.mark.parametrize("size", ["0", "-2"])
 @pytest.mark.parametrize(
     "gen_class",
@@ -277,6 +276,7 @@ def test_gen_refuses_sizes_below_one(gen_class, size, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
 
 @pytest.mark.parametrize(
     "extra, digest",
