@@ -50,6 +50,24 @@ def subset_images(n: int, point_masks) -> list[int]:
     return img
 
 
+def op_mask(ones, sides, full: int) -> int:
+    """An operation of a two-element template applied coordinatewise to
+    masks: the coordinates where the result is 1.
+
+    ``ones`` lists the template's argument rows valued 1 and ``sides[i]``
+    is ``(full & ~a, a)`` for the ``i``-th argument mask ``a``.  The result
+    is the OR, over those rows, of the AND of each argument's side named
+    by the row.
+    """
+    out = 0
+    for row in ones:
+        at = full
+        for side, v in zip(sides, row):
+            at &= side[v]
+        out |= at
+    return out
+
+
 def collisions(rows) -> tuple[tuple[int, int], ...]:
     """Pairs ``(first, x)`` where ``rows[x]`` repeats the row first seen at
     index ``first``, in increasing ``x``."""

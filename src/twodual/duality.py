@@ -33,6 +33,7 @@ from .core import (
     bits,
     collisions,
     mask_of,
+    op_mask,
     preserved_tuples,
 )
 from .errors import (
@@ -100,11 +101,9 @@ def dual(
 ) -> DualStructure:
     """The dual of ``structure`` under the pair ``(D, E)``.
 
-    The carrier is ``hom(structure, D)``; the ``E``-structure is induced
-    from the power, computed on the hom masks as bitsets.  Functional
-    symbols of ``E`` are applied pointwise and the carrier must contain
-    the result (else :class:`S1Violation`, with the offending application
-    as witness); likewise every constant of ``E`` must name a member.
+    The carrier is ``hom(structure, D)``; the ``E``-structure is the one
+    it inherits as a :func:`power_substructure` of ``E^structure``, so a
+    carrier not closed under ``E`` raises :class:`S1Violation`.
     ``max_source`` / ``max_carrier`` override the ``dual-source`` /
     ``dual-carrier`` caps for callers that knowingly dualize larger
     instances.
@@ -119,27 +118,38 @@ def dual(
     if m > car_cap:
         raise UniverseTooLarge("dual-carrier", car_cap, m)
 
-    masks = carrier.homs.sets
-    index = carrier.homs.index
-    full = (1 << n) - 1
-    # sides[i][v]: the source points that hom i sends to v.
+    induced = power_substructure(carrier.homs.sets, n, template_e)
+    return DualStructure(carrier, induced, template_d, template_e)
+
+
+def power_substructure(
+    masks, width: int, template: TwoTemplate
+) -> FiniteStructure:
+    """The substructure of the power ``template^width`` on ``masks``, each
+    point given as the mask of the coordinates where it is 1.
+
+    A relation holds on the tuples that every coordinate projection sends
+    into the template's.  Operations are applied coordinatewise and
+    constants are the constant masks; each must name a member (else
+    :class:`S1Violation`, with the offending application as witness).
+    """
+    index = {mask: i for i, mask in enumerate(masks)}
+    m = len(masks)
+    full = (1 << width) - 1
+    # sides[i][v]: the coordinates where point i is v.
     sides = [(full & ~mask, mask) for mask in masks]
-    sig_e = template_e.signature
     tuples: dict[str, set] = {}
-    for sym in sig_e.symbols:
-        rel_e = template_e.structure.rel(sym.name)
+    for sym in template.signature.symbols:
+        rel = template.structure.rel(sym.name)
         if sym.functional:
-            # The result is 1 at a point iff the arguments' values there
-            # form a template row valued 1.
-            ones = [t[:-1] for t in rel_e if t[-1]]
+            ones = [t[:-1] for t in rel if t[-1]]
             made = set()
-            for args in itertools.product(range(m), repeat=sym.arity - 1):
-                out_mask = 0
-                for row in ones:
-                    at = full
-                    for i, v in zip(args, row):
-                        at &= sides[i][v]
-                    out_mask |= at
+            arity = sym.arity - 1
+            for args, arg_sides in zip(
+                itertools.product(range(m), repeat=arity),
+                itertools.product(sides, repeat=arity),
+            ):
+                out_mask = op_mask(ones, arg_sides, full)
                 if out_mask not in index:
                     raise S1Violation(sym.name, args, out_mask)
                 made.add(args + (index[out_mask],))
@@ -150,19 +160,16 @@ def dual(
                 max(m, 2) ** sym.arity,
                 f"induced relation {sym.name!r}",
             )
-            made = preserved_tuples(masks, n, sym.arity, rel_e)
+            made = preserved_tuples(masks, width, sym.arity, rel)
             tuples[sym.name] = set(made)
 
     constants = {}
-    for cname in sig_e.constants:
-        value = template_e.structure.constants[cname]
-        cmask = (1 << n) - 1 if value else 0
+    for cname in template.signature.constants:
+        cmask = full if template.structure.constants[cname] else 0
         if cmask not in index:
             raise S1Violation(cname, (), cmask)
         constants[cname] = index[cmask]
-
-    induced = FiniteStructure(sig_e, m, tuples, constants)
-    return DualStructure(carrier, induced, template_d, template_e)
+    return FiniteStructure(template.signature, m, tuples, constants)
 
 
 def evaluation_rows(carrier: HomSet) -> list[int]:

@@ -8,6 +8,14 @@ enumerate labeled structures.  Brute-force counting twins
 (``count_posets_brute``, ``count_semilattice_tables``) exist so tests can
 cross-validate the fast enumerations against a definitionally obvious
 filter.
+
+Separated instances of a finite template are sets of vectors of ``2^k``.
+Each vector is held as a ``k``-bit mask with coordinate 0 as the high
+bit, so that sorted masks come in the order of sorted tuples; a mask is
+also the vector's point row over the ``k`` coordinate projections.  The
+closure applies operations to masks with :func:`twodual.core.op_mask`, and
+:func:`twodual.duality.power_substructure` builds the instance, as it
+builds a dual from hom masks.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ import itertools
 
 from ..bea import BeaOracle, family_bea
 from ..convexity import BiConvexity, biconvexity_from_bea
-from ..core import FiniteStructure, SetFamily, bits, mask_of, preserved_tuples
+from ..core import FiniteStructure, SetFamily, bits, op_mask
+from ..duality import power_substructure
 from ..errors import EmptyUniverse, InputError, UniverseTooLarge
 from ..rng import SplitMix64
 from .catalog import ORACLE_TEMPLATES, oracle_template, template
@@ -117,14 +126,15 @@ def count_posets_brute(n: int) -> int:
     """Filter all 2^(n·n) binary relations for the partial-order axioms.
 
     Deliberately naive — the independent twin of the exhaustive
-    generator.
+    generator.  Bit ``n·i + j`` of a relation holds i ≤ j.
     """
     full = (1 << n) - 1
+    diagonal = sum(1 << (n + 1) * i for i in range(n))
     total = 0
     for m in range(1 << (n * n)):
-        rows = [(m >> (n * i)) & full for i in range(n)]
-        if any(not rows[i] >> i & 1 for i in range(n)):
+        if m & diagonal != diagonal:  # reflexivity
             continue
+        rows = [(m >> (n * i)) & full for i in range(n)]
         if any(
             i != j and rows[i] >> j & 1 and rows[j] >> i & 1
             for i in range(n)
@@ -590,17 +600,19 @@ def nonnormal_planar() -> BiConvexity:
 # ------------------------------------------------- separated instances
 
 def _closure_under_ops(
-    vectors: set[tuple], temp, k: int, max_size: int
-) -> set[tuple] | None:
-    """Close ``vectors`` under the template operations, coordinatewise;
-    None once the closure outgrows ``max_size``.
+    vectors: set[int], temp, k: int, max_size: int
+) -> set[int] | None:
+    """Close ``vectors``, masks of ``k`` coordinates, under the template
+    operations coordinatewise; None once the closure outgrows
+    ``max_size``.
 
     Semi-naive: each popped vector is combined only in argument tuples
     that contain it, since tuples of earlier vectors were taken when the
     last of them was popped.
     """
+    full = (1 << k) - 1
     ops = [
-        (temp.structure.op(s.name), s.arity - 1)
+        ([t[:-1] for t in temp.structure.rel(s.name) if t[-1]], s.arity - 1)
         for s in temp.signature.symbols
         if s.functional
     ]
@@ -609,43 +621,20 @@ def _closure_under_ops(
         if len(vectors) > max_size:
             return None
         v = frontier.pop()
-        known = sorted(vectors)
-        older = [w for w in known if w != v]
-        for graph, arity in ops:
+        mine = (full ^ v, v)
+        known = [(full ^ w, w) for w in sorted(vectors)]
+        older = [side for side in known if side[1] != v]
+        for ones, arity in ops:
             # Each tuple once: position i is the first to hold v.
             for i in range(arity):
-                for args in itertools.product(
-                    *[older] * i, (v,), *[known] * (arity - i - 1)
+                for sides in itertools.product(
+                    *[older] * i, (mine,), *[known] * (arity - i - 1)
                 ):
-                    out = tuple(
-                        graph[tuple(w[c] for w in args)] for c in range(k)
-                    )
+                    out = op_mask(ones, sides, full)
                     if out not in vectors:
                         vectors.add(out)
                         frontier.append(out)
     return vectors if len(vectors) <= max_size else None
-
-
-def _power_substructure(vectors: list[tuple], temp) -> FiniteStructure:
-    k = len(vectors[0])
-    # Coordinate projections are the maps that must preserve each tuple.
-    rows = [mask_of(c for c in range(k) if v[c]) for v in vectors]
-    tuples = {
-        s.name: frozenset(
-            preserved_tuples(rows, k, s.arity, temp.structure.rel(s.name))
-        )
-        for s in temp.signature.symbols
-    }
-    constants = {}
-    for name in temp.signature.constants:
-        v = temp.structure.constants[name]
-        constants[name] = vectors.index((v,) * k)
-    return FiniteStructure(
-        signature=temp.signature,
-        size=len(vectors),
-        tuples=tuples,
-        constants=constants,
-    )
 
 
 def gen_separated_instances(
@@ -696,16 +685,17 @@ def gen_separated_instances(
             )
         k = rng.randint(3, 5)
         m = rng.randint(2, max_size)
+        # Coordinate 0 is drawn first and is the high bit.
         vectors = {
-            tuple(rng.randint(0, 1) for _ in range(k)) for _ in range(m)
+            sum(rng.randint(0, 1) << c for c in reversed(range(k)))
+            for _ in range(m)
         }
         for cname in temp.signature.constants:
-            v = temp.structure.constants[cname]
-            vectors.add((v,) * k)
+            vectors.add((1 << k) - 1 if temp.structure.constants[cname] else 0)
         closed = _closure_under_ops(vectors, temp, k, max_size)
         if closed is None or not 2 <= len(closed) <= max_size:
             continue
-        out.append(_power_substructure(sorted(closed), temp))
+        out.append(power_substructure(sorted(closed), k, temp))
     return out
 
 

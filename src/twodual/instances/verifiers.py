@@ -3,10 +3,18 @@ dict — {"suite": name, "pass": bool, ...} plus suite-specific entries.
 Verifiers are deterministic given their parameters; the optional thread
 pool only splits work across instances and never changes the report
 (results are merged in input order).
+
+A corpus may hold the same instance more than once.  ``ordered_map``
+checks each distinct instance once and gives every later duplicate a
+copy of the entry of its first occurrence, so a report still has one
+entry per corpus position.  In the ultimate suite that copy may be a
+"timeout" entry, or a checked one where the duplicate itself would have
+been past the deadline.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -61,38 +69,69 @@ from .generators import (
 )
 
 
+def _instance_key(item):
+    """A hashable key equal for equal corpus instances: a structure's
+    signature, size, relations and constants; any other item (an int, an
+    oracle, a tuple of them) is its own key."""
+    if isinstance(item, FiniteStructure):
+        return (
+            item.signature,
+            item.size,
+            tuple(sorted(item.tuples.items())),
+            tuple(sorted(item.constants.items())),
+        )
+    return item
+
+
 def ordered_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` of every item, in input order, calling ``fn`` once per
+    distinct item (by ``_instance_key``); each position gets its own
+    shallow copy of the entry."""
+    first: dict = {}
+    distinct = []
+    slots = []
+    for x in items:
+        slot = first.setdefault(_instance_key(x), len(distinct))
+        if slot == len(distinct):
+            distinct.append(x)
+        slots.append(slot)
+    if threads <= 1 or len(distinct) <= 1:
+        done = [fn(x) for x in distinct]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            done = list(pool.map(fn, distinct))
+    return [copy.copy(done[s]) for s in slots]
 
 
 def _dedup_lattices(max_size: int):
-    out = []
-    seen = set()
+    out: dict = {}
     for n in range(1, max_size + 1):
         for lat in gen_distributive_lattices(n):
-            key = (lat.size, lat.rel("meet"), lat.rel("join"))
-            if key not in seen:
-                seen.add(key)
-                out.append(lat)
-    return out
+            out.setdefault(_instance_key(lat), lat)
+    return list(out.values())
 
 
 # ------------------------------------------------------------- Priestley
 
+def _op_table(x: FiniteStructure, name: str) -> list[list[int]]:
+    """A binary operation's graph as a nested list: ``table[a][b]``."""
+    table = [[0] * x.size for _ in range(x.size)]
+    for a, b, c in x.rel(name):
+        table[a][b] = c
+    return table
+
+
 def _is_distributive(lattice: FiniteStructure) -> bool:
-    meet = lattice.op("meet")
-    join = lattice.op("join")
-    n = lattice.size
-    return all(
-        meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
-        for a in range(n)
-        for b in range(n)
-        for c in range(n)
-    )
+    """Whether a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) for every triple."""
+    meet = _op_table(lattice, "meet")
+    join = _op_table(lattice, "join")
+    for meet_a in meet:
+        for join_b, ab in zip(join, meet_a):
+            join_ab = join[ab]
+            for bc, ac in zip(join_b, meet_a):
+                if meet_a[bc] != join_ab[ac]:
+                    return False
+    return True
 
 
 def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:

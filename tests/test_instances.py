@@ -31,10 +31,17 @@ from twodual.instances import (
 )
 from twodual.instances.catalog import TEMPLATES
 from twodual.instances.generators import _closure_under_ops
+from twodual.instances import verifiers
 from twodual.instances.verifiers import (
     _filter_form_agrees,
     _filter_nesting,
+    _instance_key,
+    _is_distributive,
     _sample_unlinked_pairs,
+    ordered_map,
+    verify_betweenness,
+    verify_hms,
+    verify_ultimate,
 )
 from twodual.jsonio import dumps, structure_to_json
 from twodual.rng import SplitMix64
@@ -67,8 +74,8 @@ def test_oracle_templates_expose_the_one_halfspace():
 
 def test_labeled_poset_counts():
     counts = [len(gen_posets(n)) for n in (1, 2, 3, 4)]
-    assert counts == [1, 3, 19, 219]
-    assert [count_posets_brute(n) for n in (1, 2, 3)] == [1, 3, 19]
+    assert counts == [1, 3, 19, 219]  # OEIS A001035
+    assert [count_posets_brute(n) for n in (1, 2, 3, 4)] == counts
 
 
 def test_labeled_semilattice_counts():
@@ -80,6 +87,55 @@ def test_labeled_semilattice_counts():
 def test_distributive_lattice_counts():
     counts = [len(gen_distributive_lattices(n)) for n in (1, 2, 3, 4)]
     assert counts == [1, 2, 8, 60]
+
+
+def lattice_of_order(n, below):
+    """The bounded lattice of an order on ``0 .. n-1`` given as its pairs
+    ``(a, b)`` with a < b, 0 the bottom and n-1 the top."""
+    leq = {(a, a) for a in range(n)} | set(below)
+    meet, join = set(), set()
+    for a in range(n):
+        for b in range(n):
+            lower = [c for c in range(n) if (c, a) in leq and (c, b) in leq]
+            upper = [c for c in range(n) if (a, c) in leq and (b, c) in leq]
+            meet.add((a, b, next(
+                c for c in lower if all((d, c) in leq for d in lower)
+            )))
+            join.add((a, b, next(
+                c for c in upper if all((c, d) in leq for d in upper)
+            )))
+    return FiniteStructure(
+        template("bounded_lattice").signature,
+        n,
+        {"meet": meet, "join": join},
+        {"zero": 0, "one": n - 1},
+    )
+
+
+def test_distributivity_verdicts():
+    def reference(lat):
+        meet, join = lat.op("meet"), lat.op("join")
+        n = lat.size
+        return all(
+            meet[a, join[b, c]] == join[meet[a, b], meet[a, c]]
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+        )
+
+    m3 = lattice_of_order(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)]
+    )
+    n5 = lattice_of_order(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)]
+    )
+    validate(m3)
+    validate(n5)
+    assert not _is_distributive(m3) and not reference(m3)
+    assert not _is_distributive(n5) and not reference(n5)
+    for n in (1, 2, 3, 4):
+        for lat in gen_distributive_lattices(n):
+            assert _is_distributive(lat) and reference(lat)
 
 
 def test_down_set_lattice_of_the_antichain_is_the_square():
@@ -257,7 +313,13 @@ def test_semi_naive_closure_matches_the_full_re_multiplication():
                 for _ in range(rng.randint(1, 4))
             }
             max_size = rng.randint(1, 12)
-            got = _closure_under_ops(set(vectors), temp, k, max_size)
+            # The closure holds vectors as masks, coordinate 0 the high bit.
+            masks = {int("".join(map(str, v)), 2) for v in vectors}
+            got = _closure_under_ops(masks, temp, k, max_size)
+            if got is not None:
+                got = {
+                    tuple(m >> (k - 1 - c) & 1 for c in range(k)) for m in got
+                }
             assert got == reference_closure(set(vectors), temp, k, max_size)
             outcomes.add(got is None)
     assert outcomes == {True, False}
@@ -385,3 +447,98 @@ def test_pair_sampler_matches_the_query_loop():
                 assert attempts == 40 * pairs_per
                 ends.add("draw limit")
     assert ends == {"filled", "draw limit", "ran out"}
+
+
+# ------------------------------------------------- one check per instance
+
+def duplicated_corpus():
+    """Separately built but equal structures, ints, and (oracle, seed)
+    pairs, each kind with duplicates; and the number of distinct items."""
+    posets = gen_posets(2) + gen_posets(2) + gen_posets(1)
+    semis = gen_semilattices(3, "random", seed=11, count=12)
+    oracles = random_oracle_instances(3, 5) + random_oracle_instances(3, 5)
+    pairs = list(zip(oracles, [1, 2, 3, 1, 2, 4]))
+    ints = [3, 1, 3, 3, 2, 1]
+    items = posets + semis + pairs + ints
+    distinct = 4 + len({dumps(structure_to_json(x)) for x in semis}) + 4 + 3
+    assert distinct < len(items)
+    return items, distinct
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ordered_map_checks_each_distinct_item_once(threads):
+    items, distinct = duplicated_corpus()
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return {"key": _instance_key(x), "calls": len(calls)}
+
+    entries = ordered_map(fn, items, threads)
+    assert len(calls) == distinct
+    assert len({_instance_key(x) for x in calls}) == distinct
+    # One entry per input position, in input order.
+    assert [e["key"] for e in entries] == [_instance_key(x) for x in items]
+
+
+def test_ordered_map_gives_each_duplicate_its_own_entry():
+    items = [5, 7, 5, 5]
+    entries = ordered_map(lambda x: {"x": x, "tags": []}, items)
+    assert entries == [{"x": 5, "tags": []}, {"x": 7, "tags": []}] + [
+        {"x": 5, "tags": []}
+    ] * 2
+    entries[2]["x"] = 0
+    entries[3]["extra"] = True
+    assert entries[0] == {"x": 5, "tags": []}
+    assert entries[2] == {"x": 0, "tags": []}
+    assert entries[3] == {"x": 5, "tags": [], "extra": True}
+
+
+def test_instance_key_is_equality_of_structures():
+    a = gen_posets(3)
+    b = gen_posets(3)
+    assert all(x is not y for x, y in zip(a, b))
+    assert [_instance_key(x) for x in a] == [_instance_key(y) for y in b]
+    assert len({_instance_key(x) for x in a}) == len(a)
+    # Constants are part of the key.
+    lat = gen_distributive_lattices(2)[0]
+    swapped = FiniteStructure(
+        lat.signature,
+        lat.size,
+        lat.tuples,
+        {"zero": lat.constants["one"], "one": lat.constants["zero"]},
+    )
+    assert _instance_key(swapped) != _instance_key(lat)
+
+
+@pytest.mark.parametrize(
+    "verify, kwargs",
+    [
+        (verify_hms, {"max_size": 3, "samples": 60, "seed": 12}),
+        (verify_hms, {"max_size": 2, "samples": 30, "seed": 4, "threads": 2}),
+        (verify_ultimate, {"samples": 12, "seed": 5, "max_size": 4}),
+        (
+            verify_ultimate,
+            {"samples": 6, "seed": 9, "max_size": 3, "threads": 2},
+        ),
+        (verify_betweenness, {"samples": 24, "seed": 9}),
+    ],
+)
+def test_reports_match_a_plain_per_item_map(verify, kwargs, monkeypatch):
+    seen = []
+
+    def spy(fn, items, threads=1):
+        items = list(items)
+        seen.append(len(items) - len({_instance_key(x) for x in items}))
+        return real(fn, items, threads)
+
+    real = verifiers.ordered_map
+    monkeypatch.setattr(verifiers, "ordered_map", spy)
+    deduplicated = dumps(verify(**kwargs))
+    # The corpus really holds duplicates, so deduplication was exercised.
+    assert sum(seen) > 0
+    def plain(fn, items, threads=1):
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(verifiers, "ordered_map", plain)
+    assert dumps(verify(**kwargs)) == deduplicated
