@@ -6,10 +6,10 @@ universe, whether ``s`` is linked to ``t``.  Two realizations are provided:
 ``table``
     The positive pairs are stored exhaustively as a frozen set of mask
     pairs.  Nothing is assumed about them; the axiom checkers below do the
-    honest sweeps.  Within the ``pair-axiom-sweep`` cap, the ``i3`` check
-    reads the table as a pair-index bitset (below), and ``i1``, the
+    honest sweeps.  Within the ``pair-axiom-sweep`` cap, ``i3`` and ``i4``
+    read the table as its pair-index bitset (below), and ``i1``, the
     halfspace backtrack and :func:`separate` read its up-closure; past it,
-    they join or scan the stored pairs.
+    they join or scan the stored pairs, and neither bitset is built.
 
 ``induced``
     A tuple of *halfspace* masks ``H`` is stored and ``s ⋈ t`` holds iff no
@@ -37,18 +37,19 @@ Every sweep over all ``4^n`` subset pairs, in this package, works on one
 format, the *pair-index bitset*: a ``4^n``-bit int whose bit
 ``x = s << n | t`` is set iff ``(s, t)`` is in the relation, so its lowest
 set bit is the first pair in ``(s, t)`` order.  It is built and read by
-:func:`linkage_bits`, :func:`transversal_bits` (``left[s] & right[t]``),
+:attr:`BeaOracle.linkage`, :func:`transversal_bits` (``left[s] & right[t]``),
 :func:`row_bits` and :func:`column_bits` (``s``, or ``t``, in a mask) and
 :func:`pairs_of` (the pairs, in order); two relations compare by XOR.
 :func:`up_closure` is the one transform on it: the OR-zeta transform over
-the ``2n`` index bits, which adds every pair above a member.
+the ``2n`` index bits, which adds every pair above a member; an oracle
+keeps its own up-closure as :attr:`BeaOracle.above`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .caps import get_cap, guard
 from .core import SetFamily, bits, mask_of, transpose
@@ -81,6 +82,9 @@ class BeaOracle:
     halfspaces: tuple[int, ...] | None = None
     zero_elem: int | None = None
     one_elem: int | None = None
+    # linkage and above, once built.  Not cached_property: on CPython 3.11 a
+    # key added to an instance __dict__ slows every later attribute read.
+    _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.universe < 1:
@@ -129,6 +133,38 @@ class BeaOracle:
             if s & ~h == 0 and t & h == 0:
                 return False
         return True
+
+    @property
+    def linkage(self) -> int:
+        """The linkage as one ``4^n``-bit int: bit ``x = s << n | t`` is set
+        iff ``s ⋈ t``.  A halfspace ``h`` unlinks the box of ``x`` with no
+        ``s``-bit outside ``h`` and no ``t``-bit inside it."""
+        if "linkage" in self._bitsets:
+            return self._bitsets["linkage"]
+        n = self.universe
+        if self.pairs is not None:
+            buf = bytearray(((1 << 2 * n) >> 3) + 1)
+            for s, t in self.pairs:
+                x = s << n | t
+                buf[x >> 3] |= 1 << (x & 7)
+            linked = int.from_bytes(buf, "little")
+        else:
+            with_bit, _ = _index_masks(n)
+            ones = (1 << (1 << 2 * n)) - 1
+            linked = ones
+            for h in self.halfspaces:
+                box = ones
+                for i in range(n):
+                    box &= ~with_bit[i] if h >> i & 1 else ~with_bit[n + i]
+                linked &= ~box
+        return self._bitsets.setdefault("linkage", linked)
+
+    @property
+    def above(self) -> int:
+        """The up-closure of :attr:`linkage`, built on first use."""
+        if "above" not in self._bitsets:
+            self._bitsets["above"] = up_closure(self.linkage, self.universe)
+        return self._bitsets["above"]
 
 
 def family_bea(family: SetFamily) -> BeaOracle:
@@ -192,11 +228,9 @@ def _check_i1(o: BeaOracle) -> AxiomReport:
         return AxiomReport(
             "i1", True, note="monotone by construction for induced oracles"
         )
-    if o.universe <= get_cap("pair-axiom-sweep"):
-        # A table is monotone iff it is its own up-closure.
-        table = linkage_bits(o)
-        if up_closure(table, o.universe) == table:
-            return AxiomReport("i1", True)
+    # A table is monotone iff it is its own up-closure.
+    if o.universe <= get_cap("pair-axiom-sweep") and o.above == o.linkage:
+        return AxiomReport("i1", True)
     # Single-element extensions are complete: any monotonicity failure has
     # a one-step failure along a chain between the two pairs.
     return _report("i1", _i1_failures(o))
@@ -259,28 +293,6 @@ def _index_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     for j in range(m):
         levels = [a | b << (1 << j) for a, b in zip(levels + [0], [0] + levels)]
     return tuple(with_bit), tuple(levels)
-
-
-def linkage_bits(o: BeaOracle) -> int:
-    """The linkage as one ``4^n``-bit int: bit ``x = s << n | t`` is set
-    iff ``s ⋈ t``.  A halfspace ``h`` unlinks the box of ``x`` with no
-    ``s``-bit outside ``h`` and no ``t``-bit inside it."""
-    n = o.universe
-    if o.pairs is not None:
-        buf = bytearray(((1 << 2 * n) >> 3) + 1)
-        for s, t in o.pairs:
-            x = s << n | t
-            buf[x >> 3] |= 1 << (x & 7)
-        return int.from_bytes(buf, "little")
-    with_bit, _ = _index_masks(n)
-    ones = (1 << (1 << 2 * n)) - 1
-    linked = ones
-    for h in o.halfspaces:
-        box = ones
-        for i in range(n):
-            box &= ~with_bit[i] if h >> i & 1 else ~with_bit[n + i]
-        linked &= ~box
-    return linked
 
 
 def transversal_bits(n: int, left, right) -> int:
@@ -365,7 +377,7 @@ def _i3_witness(o: BeaOracle) -> tuple | None:
     """
     n = o.universe
     with_bit, levels = _index_masks(n)
-    table = linkage_bits(o)
+    table = o.linkage
 
     def joined(bitset: int, j: int) -> int:
         hit = bitset & with_bit[j]
@@ -491,13 +503,15 @@ def _check_i4_sweep(o: BeaOracle) -> AxiomReport:
     to_points, from_points = singleton_links(o)
     n = o.universe
     through = transversal_bits(n, to_points, from_points)
-    return _report("i4", pairs_of(linkage_bits(o) & ~through, n))
+    return _report("i4", pairs_of(o.linkage & ~through, n))
 
 
 def _check_i4(o: BeaOracle) -> AxiomReport:
     if o.halfspaces is not None:
         return _check_i4_induced(o)
-    # Only the stored pairs are visited, so sparse tables stay cheap.
+    if o.universe <= get_cap("pair-axiom-sweep"):
+        return _check_i4_sweep(o)
+    # Past the cap, only the stored pairs are visited: sparse tables stay cheap.
     pairs = o.pairs
     points = [1 << p for p in range(o.universe)]
     return _report(
@@ -647,17 +661,16 @@ def _cover_test(oracle: BeaOracle):
     """The function ``covered(s, t)``: whether some linked pair
     ``(s', t')`` has ``s' ⊆ s`` and ``t' ⊆ t``.  An induced oracle is
     monotone, so that is its query.  Within the ``pair-axiom-sweep`` cap a
-    table answers with one bit test on its up-closure, held as bytes since
-    shifting the ``4^n``-bit int copies it; past it, the stored pairs are
-    scanned."""
+    table answers with one bit test on :attr:`BeaOracle.above`, held as
+    bytes since shifting the ``4^n``-bit int copies it; past it, the stored
+    pairs are scanned."""
     if oracle.pairs is None:
         return oracle.query
     n = oracle.universe
     if n > get_cap("pair-axiom-sweep"):
         pairs = oracle.pairs
         return lambda s, t: any(a & ~s == 0 and b & ~t == 0 for a, b in pairs)
-    closure = up_closure(linkage_bits(oracle), n)
-    above = closure.to_bytes(((1 << 2 * n) + 7) >> 3, "little")
+    above = oracle.above.to_bytes(((1 << 2 * n) + 7) >> 3, "little")
 
     def covered(s: int, t: int) -> bool:
         x = s << n | t
@@ -804,7 +817,5 @@ def oracle_to_table(oracle: BeaOracle) -> BeaOracle:
     """Materialize any oracle as a table by querying every subset pair."""
     n = oracle.universe
     guard("oracle-table", n, "pair-table materialization")
-    pairs = pairs_of(linkage_bits(oracle), n)
-    return BeaOracle.from_table(
-        n, pairs, zero=oracle.zero_elem, one=oracle.one_elem
-    )
+    pairs = pairs_of(oracle.linkage, n)
+    return BeaOracle.from_table(n, pairs, zero=oracle.zero_elem, one=oracle.one_elem)

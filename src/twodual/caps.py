@@ -24,10 +24,10 @@ DEFAULT_CAPS = {
     # 4^n-bit pair-index bitsets (see bea): the i4 fallback sweep, the
     # bidual transport sweep, the filter nesting / filter form sweeps of
     # the verifiers and the pasch pair sampling.  It also picks the path of
-    # five checks, each on a bitset only within it: table i3; table i1, the
-    # table halfspace backtrack and table separate, through the table's
-    # up-closure; and a failing induced i4, which takes its witness from
-    # the sweep.  Past it they scan or join the stored pairs.
+    # six checks, each on a bitset only within it: table i3 and table i4;
+    # table i1, the table halfspace backtrack and table separate, through
+    # the table's up-closure; and a failing induced i4, which takes its
+    # witness from the sweep.  Past it they scan or join the stored pairs.
     "pair-axiom-sweep": 10,
     # Universe bound for listing halfspaces analytically.
     "halfspace-universe": 64,

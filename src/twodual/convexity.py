@@ -24,7 +24,6 @@ from .bea import (
     check_axiom,
     check_axioms,
     column_bits,
-    linkage_bits,
     pairs_of,
     require_axioms,
     row_bits,
@@ -255,9 +254,7 @@ def biconvexity_from_bea(
             raise RoundTripFailure(
                 "hull operators are not idempotent", witness=(m,)
             )
-    clash = next(
-        pairs_of(linkage_bits(oracle) ^ transversal_bits(n, cu, cl), n), None
-    )
+    clash = next(pairs_of(oracle.linkage ^ transversal_bits(n, cu, cl), n), None)
     if clash is not None:
         raise RoundTripFailure(
             "transversal rule disagrees with the oracle", witness=clash

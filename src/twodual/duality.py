@@ -17,14 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bea import (
-    BeaOracle,
-    all_halfspaces,
-    family_bea,
-    linkage_bits,
-    pairs_of,
-    require_axioms,
-)
+from .bea import BeaOracle, all_halfspaces, family_bea, pairs_of, require_axioms
 from .caps import get_cap, guard
 from .core import (
     FiniteStructure,
@@ -414,7 +407,7 @@ def ultimate_bidual_report(oracle: BeaOracle, ud: UltimateDual) -> dict:
     )
     counterexamples += [
         {"kind": "linkage", "s": sorted(bits(s)), "t": sorted(bits(t))}
-        for s, t in pairs_of(linkage_bits(oracle) ^ linkage_bits(pulled), n)
+        for s, t in pairs_of(oracle.linkage ^ pulled.linkage, n)
     ]
     return {
         "pass": not counterexamples,

@@ -24,7 +24,6 @@ from ..bea import (
     check_axiom,
     family_bea,
     is_halfspace,
-    linkage_bits,
     oracle_to_table,
     pairs_of,
     separate,
@@ -147,7 +146,7 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
         k, [mask_of(q for q in range(k) if r & ~rows[q] == 0) for r in rows]
     )
     nested = transversal_bits(k, up, range(1 << k))
-    witness = next(pairs_of(linkage_bits(oracle) ^ nested, k), None)
+    witness = next(pairs_of(oracle.linkage ^ nested, k), None)
     return witness is None, witness
 
 
@@ -357,7 +356,7 @@ def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
         up[functools.reduce(lambda p, e: meet[p, e], bits(s))]
         for s in range(1, 1 << n)
     ]
-    linked = linkage_bits(BeaOracle.from_halfspaces(n, masks))
+    linked = BeaOracle.from_halfspaces(n, masks).linkage
     disagree = linked ^ transversal_bits(n, principal, range(1 << n))
     # Row s = 0, the indices below 2^n, is left out.
     return not disagree >> (1 << n)
@@ -678,7 +677,7 @@ def _sample_unlinked_pairs(
     bit test whatever ``n``; drawing stops once none is left."""
     n = oracle.universe
     guard("pair-axiom-sweep", n, "pasch pair sampling")
-    unlinked = ~linkage_bits(oracle) & ((1 << (1 << 2 * n)) - 2)
+    unlinked = ~oracle.linkage & ((1 << (1 << 2 * n)) - 2)
     left = unlinked.bit_count()
     todo = bytearray(unlinked.to_bytes(((1 << 2 * n) + 7) >> 3, "little"))
     found = [(0, 0)]

@@ -46,11 +46,11 @@ def _require(doc: dict, key: str, kinds, what: str):
     return value
 
 
-def _mask_from_list(points, what: str) -> int:
+def _mask_from_list(points, what: str, size: int) -> int:
     if not isinstance(points, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) and p >= 0 for p in points
+        isinstance(p, int) and not isinstance(p, bool) and 0 <= p < size for p in points
     ):
-        raise InputError(f"{what} must be a list of non-negative indices")
+        raise InputError(f"{what} must be a list of indices below {size}")
     return mask_of(points)
 
 
@@ -131,7 +131,7 @@ def family_to_json(f: SetFamily) -> dict:
 def family_from_json(doc: dict) -> SetFamily:
     base = _require(doc, "base", int, "family")
     raw = _require(doc, "sets", list, "family")
-    sets = tuple(_mask_from_list(s, "family member") for s in raw)
+    sets = tuple(_mask_from_list(s, "family member", base) for s in raw)
     try:
         return SetFamily(
             base=base,
@@ -164,7 +164,7 @@ def bea_from_json(doc: dict) -> BeaOracle:
         if not isinstance(entry, list) or len(entry) != 2:
             raise InputError("bea pairs must be [s, t] index-list pairs")
         s, t = entry
-        pairs.add((_mask_from_list(s, "bea side"), _mask_from_list(t, "bea side")))
+        pairs.add((_mask_from_list(s, "bea side", n), _mask_from_list(t, "bea side", n)))
     zero = doc.get("zero")
     one = doc.get("one")
     for c in (zero, one):
@@ -200,10 +200,10 @@ def biconvexity_from_json(doc: dict) -> BiConvexity:
             raise InputError("biconvexity constants must be indices or null")
     try:
         lower = SetFamily(
-            base=n, sets=tuple(_mask_from_list(s, "L member") for s in raw_l)
+            base=n, sets=tuple(_mask_from_list(s, "L member", n) for s in raw_l)
         )
         upper = SetFamily(
-            base=n, sets=tuple(_mask_from_list(s, "U member") for s in raw_u)
+            base=n, sets=tuple(_mask_from_list(s, "U member", n) for s in raw_u)
         )
         return BiConvexity(
             universe=n,

@@ -36,7 +36,6 @@ from twodual.bea import (
     _index_masks,
     _report,
     column_bits,
-    linkage_bits,
     pairs_of,
     row_bits,
     singleton_links,
@@ -48,6 +47,7 @@ from twodual.core import SetFamily, mask_of
 from twodual.errors import EmptyUniverse, InputError
 from twodual.instances import verifiers
 from twodual.instances.generators import gen_biconvexity, random_oracle_instances
+from twodual.jsonio import bea_to_json, dumps
 from twodual.rng import SplitMix64
 
 
@@ -479,7 +479,7 @@ def test_index_masks_and_the_linkage_bitset_match_their_definitions():
                 n, [rng.mask(n) for _ in range(count)]
             )
             for oracle in (induced, oracle_to_table(induced)):
-                assert linkage_bits(oracle) == mask_of(
+                assert oracle.linkage == mask_of(
                     x for x in range(size) if oracle.query(x >> n, x & full)
                 )
 
@@ -640,19 +640,88 @@ def test_table_backtrack_matches_brute_and_the_pair_scan():
     assert found == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def reference_i4(oracle):
+    """The i4 report by the pair scan: every linked pair with no point
+    ``b`` such that ``s ⋈ {b}`` and ``{b} ⋈ t``."""
+    n = oracle.universe
+    points = [1 << p for p in range(n)]
+    return _report(
+        "i4",
+        reference_pairs(
+            n,
+            lambda s, t: oracle.query(s, t)
+            and not any(oracle.query(s, b) and oracle.query(b, t) for b in points),
+        ),
+    )
+
+
+@pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
+def test_table_i4_matches_the_pair_scan(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
+    verdicts = set()
+    for oracle in damaged_tables(61, 200, 6):
+        want = reference_i4(oracle)
+        assert check_axiom(oracle, "i4") == want
+        verdicts.add(want.passed)
+    assert verdicts == {True, False}
+
+
+def separations(oracle):
+    """The outcome of :func:`separate` on every subset pair."""
+    every = range(1 << oracle.universe)
+    return [separation_outcome(separate, oracle, s, t) for s in every for t in every]
+
+
 def test_table_backtrack_and_i1_scan_pairs_past_the_sweep_cap(monkeypatch):
-    monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", 2)
-
-    def refused(bitset, n):
-        raise AssertionError("the up-closure runs past the sweep cap")
-
-    monkeypatch.setattr(bea, "up_closure", refused)
     tables = [o for o in damaged_tables(59, 60, 5) if o.universe >= 3]
     assert {o.universe for o in tables} == {3, 4, 5}
-    for oracle in tables:
+
+    def axioms(oracle):
+        # The pair join of i3 costs O(n·|T|²): seconds on dense 5-point tables.
+        return ("i1", "i3", "i4") if oracle.universe <= 4 else ("i1", "i4")
+
+    within = [(check_axioms(o, axioms(o)), separations(o)) for o in tables]
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", 2)
+
+    def refused(*args):
+        raise AssertionError("a pair-index bitset is built past the sweep cap")
+
+    monkeypatch.setattr(bea, "up_closure", refused)
+    monkeypatch.setattr(BeaOracle, "linkage", property(refused))
+    monkeypatch.setattr(BeaOracle, "above", property(refused))
+    for oracle, (reports, outcomes) in zip(tables, within):
         brute = all_halfspaces(oracle, method="brute").sets
         assert all_halfspaces(oracle, method="backtrack").sets == brute
         assert check_axiom(oracle, "i1") == _report("i1", _i1_failures(oracle))
+        assert check_axioms(oracle, axioms(oracle)) == reports
+        assert separations(oracle) == outcomes
+
+
+def test_a_table_builds_its_up_closure_once_and_stays_equal_to_a_fresh_one(
+    monkeypatch,
+):
+    calls = []
+
+    def counted(bitset, n):
+        calls.append(n)
+        return up_closure(bitset, n)
+
+    monkeypatch.setattr(bea, "up_closure", counted)
+    fam = SetFamily(base=4, sets=(0b0011, 0b0110, 0b1100, 0b1111))
+    used = oracle_to_table(family_bea(fam))
+    fresh = oracle_to_table(family_bea(fam))
+    reports = check_axioms(used, ["i0", "i1", "i2", "i3", "i4"])
+    assert [a for a, r in reports.items() if not r.passed] == ["i4"]
+    assert all_halfspaces(used).sets == all_halfspaces(fresh, method="brute").sets
+    a, b = 0b0001, 0b0100
+    assert not used.query(a, b)
+    assert separate(used, a, b) == reference_separate(fresh, a, b)
+    assert calls == [4]
+    assert set(used._bitsets) == {"linkage", "above"} and not fresh._bitsets
+    assert used == fresh and fresh == used
+    assert hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert dumps(bea_to_json(used)) == dumps(bea_to_json(fresh))
 
 
 def reference_separate(oracle, a, b):

@@ -119,15 +119,26 @@ def test_check_axioms_flags_broken_tables(tmp_path, capsys):
 
 def test_check_axioms_on_a_sparse_table_past_the_sweep_cap(tmp_path, capsys):
     # Twenty points put 4^20 pairs past pair-axiom-sweep; i3 joins the two
-    # stored pairs instead of building a 4^20-bit set.
+    # stored pairs and i4 scans them instead of building a 4^20-bit set.
     oracle = BeaOracle.from_table(20, [(1 << 0, 1 << 19), (1 << 19, 1 << 5)])
     path = tmp_path / "sparse.json"
     path.write_text(dumps(bea_to_json(oracle)) + "\n")
-    code = main(["check-axioms", "--in", str(path), "--format", "json"])
+    code = main(["check-axioms", "--in", str(path), "--axioms", "i0,i1,i2,i3,i4",
+                 "--format", "json"])
     assert code == 1
-    i3 = json.loads(capsys.readouterr().out)["axioms"]["i3"]
-    assert i3["pass"] is False
-    assert i3["witness"] == [[], [5], [0], [], [19]]
+    axioms = json.loads(capsys.readouterr().out)["axioms"]
+    assert set(axioms) == {"i0", "i1", "i2", "i3", "i4"}
+    assert axioms["i3"]["pass"] is False
+    assert axioms["i3"]["witness"] == [[], [5], [0], [], [19]]
+    assert axioms["i4"]["pass"] is False
+    assert axioms["i4"]["witness"] == [[0], [19]]
+
+
+def test_a_bea_index_past_the_universe_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind":"bea","universe":2,"pairs":[[[0],[5]]]}\n')
+    assert main(["check-axioms", "--in", str(path), "--format", "json"]) == 2
+    assert "bea side must be a list of indices below 2" in capsys.readouterr().err
 
 
 def test_check_axioms_subset_selection(tmp_path, capsys):

@@ -20,7 +20,7 @@ from twodual import (
     oracle_to_table,
     verify_convexity_duality,
 )
-from twodual.bea import linkage_bits, pairs_of, transversal_bits
+from twodual.bea import pairs_of, transversal_bits
 from twodual.convexity import ComplementedReport
 from twodual.core import subset_images
 from twodual.duality import ultimate_dual
@@ -256,7 +256,7 @@ def reference_complemented(space):
     neg = subset_images(n, [1 << b for b in negation])
     lower = [space.hull_lower(m) for m in neg]
     upper = [space.hull_upper(m) for m in neg]
-    swapped = linkage_bits(oracle) ^ transversal_bits(n, lower, upper)
+    swapped = oracle.linkage ^ transversal_bits(n, lower, upper)
     witness = next(pairs_of(swapped, n), None)
     return ComplementedReport(True, tuple(negation), (), witness is None, witness)
 

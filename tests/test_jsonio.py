@@ -113,6 +113,9 @@ def test_malformed_documents_are_refused():
         )
     with pytest.raises(InputError):
         bea_from_json({"kind": "bea", "universe": 2})
+    # An index past the universe is refused, not masked away.
+    with pytest.raises(InputError, match="indices below 2"):
+        bea_from_json({"kind": "bea", "universe": 2, "pairs": [[[0], [5]]]})
     with pytest.raises(InputError):
         loads("{not json")
 
