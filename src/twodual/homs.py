@@ -1,14 +1,19 @@
 """Enumeration of homomorphisms into two-element templates.
 
 The backtracking engine propagates over compiled constraints.  Each
-structure tuple is reduced to its distinct elements and a shape (which
-positions repeat which element), and each (shape, template relation) pair
-is compiled once per process into the allowed images over those elements.
-A constraint visit packs the known values of the tuple's elements into one
-state key and looks up either a contradiction or the values it forces.
-States are solved on first use, never tabulated up front, so memory grows
-with the template's own relations and with the states actually visited: at
-most ``3^k`` per compiled shape of ``k`` distinct elements.
+structure tuple is reduced to its sorted distinct elements and the images
+the template relation allows over them, as bit patterns.  A search keeps
+one constraint per distinct (elements, patterns) pair, so a lattice's
+``meet(a, b, c)`` and ``meet(b, a, c)`` are one constraint, and drops the
+tautologies that allow every pattern, such as ``leq(x, x)``.  The
+reduction of a tuple is kept in a memo of at most ``CONSTRAINT_MEMO_SIZE``
+entries (least recently used first out), and each pattern set is compiled
+once per process.  A constraint visit packs the known values of its
+elements into one state key and looks up either a contradiction or the
+values it forces.  States are solved on first use, never tabulated up
+front, so memory grows with the template's own relations and with the
+states actually visited: at most ``3^k`` per compiled pattern set of ``k``
+elements.
 
 Separation reports sweep the point rows over the hom-set as bitsets: a
 non-tuple is reflected iff some disallowed image has a nonzero AND of the
@@ -64,31 +69,32 @@ def _constraints(structure: FiniteStructure, template: TwoTemplate):
     ]
 
 
-class _Shape(dict):
-    """One template relation compiled against one tuple shape.
+# Tuple reductions kept by `_constraint`.  A default structures pass uses
+# about 1,300; a full memo of 3-tuples holds about 6.5 MB.
+CONSTRAINT_MEMO_SIZE = 1 << 14
 
-    The shape lists, per tuple position, the index of its element among
-    the tuple's distinct elements (``(x, x, y)`` has shape ``(0, 0, 1)``).
-    ``patterns`` are the allowed images as bit patterns over the distinct
-    elements.  The dict maps a packed state of those elements, two bits
-    each with the first element highest (``00`` free, ``01`` is 0, ``10``
-    is 1), to ``None`` on a contradiction or else to the ``(element index,
-    value)`` pairs it forces.  States are solved on first lookup, so at
-    most ``3^k`` are ever stored for ``k`` distinct elements.
+
+class _Shape(dict):
+    """The allowed images of one constraint over its ``width`` distinct
+    elements, as bit patterns (bit ``j`` is the value of element ``j``).
+
+    The dict maps a packed state of those elements, two bits each with
+    the first element highest (``00`` free, ``01`` is 0, ``10`` is 1), to
+    ``None`` on a contradiction or else to the ``(element index, value)``
+    pairs it forces.  States are solved on first lookup, so at most
+    ``3^width`` are ever stored.  `_compiled` makes one instance per
+    pattern set, so a shape is equal only to itself (two threads missing
+    at once can make a second one, which leaves a duplicate constraint,
+    never a wrong one).
     """
 
-    def __init__(self, shape: tuple[int, ...], allowed: frozenset):
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
+
+    def __init__(self, width: int, patterns: frozenset):
         super().__init__()
-        self.width = max(shape) + 1
-        patterns = set()
-        for img in allowed:
-            if len(img) != len(shape) or not set(img) <= {0, 1}:
-                continue
-            p = 0
-            for j, b in zip(shape, img):
-                p |= b << j
-            if all((p >> j) & 1 == b for j, b in zip(shape, img)):
-                patterns.add(p)
+        self.width = width
         self.patterns = tuple(patterns)
 
     def __missing__(self, key: int):
@@ -119,23 +125,46 @@ class _Shape(dict):
 
 
 @functools.cache
-def _compiled(shape: tuple[int, ...], allowed: frozenset) -> _Shape:
+def _compiled(width: int, patterns: frozenset) -> _Shape:
     """Kept for the life of the process, so the states solved for one
-    structure serve every later one with the same template relation."""
-    return _Shape(shape, allowed)
+    structure serve every later one with the same pattern set."""
+    return _Shape(width, patterns)
+
+
+@functools.lru_cache(maxsize=CONSTRAINT_MEMO_SIZE)
+def _constraint(t: tuple, allowed: frozenset):
+    """``(sorted distinct elements of t, compiled shape)``, or None when
+    ``allowed`` admits every image over those elements."""
+    elems = tuple(sorted(set(t)))
+    where = [elems.index(e) for e in t]
+    patterns = set()
+    for img in allowed:
+        if len(img) != len(t) or not set(img) <= {0, 1}:
+            continue
+        p = 0
+        for j, b in zip(where, img):
+            p |= b << j
+        # A repeated element must take one value at all its positions.
+        if all((p >> j) & 1 == b for j, b in zip(where, img)):
+            patterns.add(p)
+    if len(patterns) == 1 << len(elems):
+        return None
+    return elems, _compiled(len(elems), frozenset(patterns))
 
 
 def _compile(structure: FiniteStructure, template: TwoTemplate):
-    """(distinct elements, compiled shape) constraints, grouped per
-    universe element."""
-    per_element = [[] for _ in range(structure.size)]
+    """The distinct non-trivial (elements, compiled shape) constraints,
+    grouped per universe element."""
+    found = {}
     for sym in structure.signature.symbols:
         allowed = template.structure.rel(sym.name)
         for t in structure.rel(sym.name):
-            elems = tuple(dict.fromkeys(t))
-            entry = (elems, _compiled(tuple(map(elems.index, t)), allowed))
-            for e in elems:
-                per_element[e].append(entry)
+            found[_constraint(t, allowed)] = None
+    found.pop(None, None)
+    per_element = [[] for _ in range(structure.size)]
+    for entry in found:
+        for e in entry[0]:
+            per_element[e].append(entry)
     return per_element
 
 

@@ -644,7 +644,8 @@ def gen_separated_instances(
 
     Finite-signature templates: random substructures of finite powers of
     the template (these are separated by construction — coordinate
-    projections separate points and reflect relations).  Oracle
+    projections separate points and reflect relations); within one call,
+    draws that give the same instance give the same object.  Oracle
     templates: linkages of random set families, with designated members
     matching the variant's constants.
     """
@@ -675,6 +676,10 @@ def gen_separated_instances(
     temp = template(name)
     rng = SplitMix64(seed)
     out = []
+    # Draws repeat, so each drawn set is closed once and each instance is
+    # built once: a repeat appends the same object.
+    drawn_to: dict = {}
+    built: dict = {}
     attempts = 0
     while len(out) < count:
         attempts += 1
@@ -685,17 +690,34 @@ def gen_separated_instances(
             )
         k = rng.randint(3, 5)
         m = rng.randint(2, max_size)
-        # Coordinate 0 is drawn first and is the high bit.
-        vectors = {
-            sum(rng.randint(0, 1) << c for c in reversed(range(k)))
-            for _ in range(m)
-        }
+        # Coordinate 0 is drawn first and is the high bit.  A bit is the
+        # low bit of one output, the same draw as `rng.randint(0, 1)`.
+        vectors = set()
+        for _ in range(m):
+            v = 0
+            for _ in range(k):
+                v = v << 1 | rng.next_u64() & 1
+            vectors.add(v)
         for cname in temp.signature.constants:
             vectors.add((1 << k) - 1 if temp.structure.constants[cname] else 0)
-        closed = _closure_under_ops(vectors, temp, k, max_size)
-        if closed is None or not 2 <= len(closed) <= max_size:
-            continue
-        out.append(power_substructure(sorted(closed), k, temp))
+        drawn = (k, frozenset(vectors))
+        if drawn not in drawn_to:
+            drawn_to[drawn] = None
+            closed = _closure_under_ops(vectors, temp, k, max_size)
+            if closed is not None and 2 <= len(closed) <= max_size:
+                points = sorted(closed)
+                # The instance depends only on the set of coordinate
+                # columns over the sorted points, so closed sets that
+                # share it (in another k, or with a column repeated) make
+                # one instance.
+                columns = frozenset(
+                    tuple((p >> c) & 1 for p in points) for c in range(k)
+                )
+                if columns not in built:
+                    built[columns] = power_substructure(points, k, temp)
+                drawn_to[drawn] = built[columns]
+        if drawn_to[drawn] is not None:
+            out.append(drawn_to[drawn])
     return out
 
 

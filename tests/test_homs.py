@@ -7,6 +7,8 @@ import pytest
 from twodual import HomLimitExceeded, bits, enumerate_homs, is_separated
 from twodual.caps import ACTIVE_CAPS, get_cap
 from twodual.core import FiniteStructure, SetFamily, Signature, Symbol
+from twodual import homs
+from twodual.core import TwoTemplate
 from twodual.homs import HomSet
 from twodual.instances import (
     gen_posets,
@@ -248,3 +250,83 @@ def test_is_separated_matches_the_per_hom_sweep():
             assert rep.separated == (not clashes and not unreflected)
             unseparated += not rep.separated
     assert unseparated > len(cases) // 2
+
+
+def _mixed_template():
+    """A template with a binary and a ternary relation and two constants:
+    ``le`` the order, ``meet`` the graph of AND, ``bot`` 0 and ``top`` 1."""
+    sig = Signature((Symbol("le", 2), Symbol("meet", 3)), ("bot", "top"))
+    return TwoTemplate(FiniteStructure(
+        sig,
+        2,
+        {
+            "le": {(0, 0), (0, 1), (1, 1)},
+            "meet": {(a, b, a & b) for a in (0, 1) for b in (0, 1)},
+        },
+        {"bot": 0, "top": 1},
+    ))
+
+
+def test_backtracking_matches_brute_force_on_mixed_relations():
+    temp = _mixed_template()
+    sig = temp.signature
+    rng = SplitMix64(20261019)
+    cases = []
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        le = {(rng.below(n), rng.below(n)) for _ in range(rng.randint(0, n))}
+        meet = set()
+        for _ in range(rng.randint(0, n)):
+            a, b, c = rng.below(n), rng.below(n), rng.below(n)
+            # Each commuted duplicate is the same constraint.
+            meet |= {(a, b, c), (b, a, c)}
+        # Tautologies: every map sends these into the template.
+        x = rng.below(n)
+        le.add((x, x))
+        meet.add((x, x, x))
+        constants = {"bot": rng.below(n), "top": rng.below(n)}
+        cases.append(FiniteStructure(sig, n, {"le": le, "meet": meet}, constants))
+    # The constants clash outright (one point named 0 and 1), and through
+    # a chain top <= x <= bot.
+    cases.append(FiniteStructure(sig, 2, {"le": {(0, 1)}}, {"bot": 1, "top": 1}))
+    cases.append(FiniteStructure(
+        sig, 3, {"le": {(2, 1), (1, 0)}, "meet": {(1, 1, 1)}}, {"bot": 0, "top": 2}
+    ))
+    empty = 0
+    for x in cases:
+        fast = enumerate_homs(x, temp).homs.sets
+        assert fast == enumerate_homs(x, temp, method="brute").homs.sets
+        assert fast == tuple(reference_homs(x, temp)), (x.tuples, x.constants)
+        empty += not fast
+    assert empty > 2
+    assert enumerate_homs(cases[-1], temp).homs.sets == ()
+    assert enumerate_homs(cases[-2], temp).homs.sets == ()
+
+
+def test_compile_keeps_each_distinct_non_trivial_constraint_once():
+    # The two-element chain lattice 0 < 1: its two tautologies drop out,
+    # and meet(0, 1, 0), meet(1, 0, 0), join(0, 1, 1) and join(1, 0, 1)
+    # are all the one constraint h(0) <= h(1).
+    lat = template("bounded_lattice")
+    meet = {(a, b, min(a, b)) for a in (0, 1) for b in (0, 1)}
+    join = {(a, b, max(a, b)) for a in (0, 1) for b in (0, 1)}
+    chain = FiniteStructure(
+        lat.signature, 2, {"meet": meet, "join": join}, {"zero": 0, "one": 1}
+    )
+    per_element = homs._compile(chain, lat)
+    assert len(per_element[0]) == 1
+    assert per_element[0] == per_element[1]
+    elems, shape = per_element[0][0]
+    assert elems == (0, 1)
+    assert sorted(shape.patterns) == [0b00, 0b10, 0b11]
+    # A leq pair of a poset compiles to the same constraint object.
+    order = template("order")
+    le = FiniteStructure(order.signature, 2, {"leq": {(0, 0), (0, 1), (1, 1)}})
+    assert homs._compile(le, order)[0] == [(elems, shape)]
+    assert enumerate_homs(chain, lat).homs.sets == (0b10,)
+
+
+def test_the_constraint_memo_is_bounded_by_its_constant():
+    info = homs._constraint.cache_info()
+    assert info.maxsize == homs.CONSTRAINT_MEMO_SIZE
+    assert info.currsize <= homs.CONSTRAINT_MEMO_SIZE

@@ -30,6 +30,7 @@ from twodual.instances import (
     template_names,
 )
 from twodual.instances.catalog import TEMPLATES
+from twodual.instances import generators
 from twodual.instances.generators import _closure_under_ops
 from twodual.instances import verifiers
 from twodual.instances.verifiers import (
@@ -280,6 +281,30 @@ def test_separated_instances_are_pinned_for_every_template():
         text = "\n".join(dumps(structure_to_json(x)) for x in xs)
         digest = hashlib.sha256(text.encode()).hexdigest()[:16]
         assert (tuple(x.size for x in xs), digest) == pin, (name, seed)
+
+
+def test_separated_instances_build_each_instance_once_per_call(monkeypatch):
+    build = generators.power_substructure
+    built = []
+
+    def counted(masks, width, temp):
+        built.append(masks)
+        return build(masks, width, temp)
+
+    monkeypatch.setattr(generators, "power_substructure", counted)
+    for name in ("order", "semilattice01", "bounded_lattice"):
+        built.clear()
+        xs = gen_separated_instances(name, 60, seed=3)
+        # Repeats append the object built for the first of them.
+        assert len(built) == len({id(x) for x in xs}) < len(xs)
+
+
+def test_separated_instances_carry_no_state_across_calls():
+    for name in ("order", "semilattice01", "bounded_lattice"):
+        xs = gen_separated_instances(name, 30, seed=5)
+        ys = gen_separated_instances(name, 30, seed=5)
+        assert xs == ys
+        assert not {id(x) for x in xs} & {id(y) for y in ys}
 
 
 def reference_closure(vectors, temp, k, max_size):
