@@ -42,7 +42,9 @@ set bit is the first pair in ``(s, t)`` order.  It is built and read by
 :func:`pairs_of` (the pairs, in order); two relations compare by XOR.
 :func:`up_closure` is the one transform on it: the OR-zeta transform over
 the ``2n`` index bits, which adds every pair above a member; an oracle
-keeps its own up-closure as :attr:`BeaOracle.above`.
+keeps its own up-closure as :attr:`BeaOracle.above`, and its
+:func:`singleton_links`, read off its linkage.  The package builds
+these only within the ``pair-axiom-sweep`` cap.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .caps import get_cap, guard
-from .core import SetFamily, bits, mask_of, transpose
+from .core import SetFamily, bits, transpose
 from .errors import (
     AxiomsFail,
     DuplicateComplement,
@@ -82,8 +84,9 @@ class BeaOracle:
     halfspaces: tuple[int, ...] | None = None
     zero_elem: int | None = None
     one_elem: int | None = None
-    # linkage and above, once built.  Not cached_property: on CPython 3.11 a
-    # key added to an instance __dict__ slows every later attribute read.
+    # linkage, above and the singleton links, once built.  Not
+    # cached_property: on CPython 3.11 a key added to an instance __dict__
+    # slows every later attribute read.
     _bitsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -539,13 +542,25 @@ def _check_i5(o: BeaOracle) -> AxiomReport:
 
 def singleton_links(oracle: BeaOracle) -> tuple[list[int], list[int]]:
     """For every subset ``s`` (as the index): the mask of the points ``p``
-    with ``s ⋈ {p}``, and the mask of those with ``{p} ⋈ s``."""
-    n = oracle.universe
-    subsets = range(1 << n)
-    return (
-        [mask_of(p for p in range(n) if oracle.query(s, 1 << p)) for s in subsets],
-        [mask_of(p for p in range(n) if oracle.query(1 << p, s)) for s in subsets],
-    )
+    with ``s ⋈ {p}``, and the mask of those with ``{p} ⋈ s``.
+
+    Both are read off :attr:`BeaOracle.linkage`, at bits
+    ``s << n | 1 << p`` and ``1 << p << n | s``, and kept on the oracle.
+    The callers must not change the lists."""
+    if "links" not in oracle._bitsets:
+        n = oracle.universe
+        size = 1 << n
+        # Digit x is bit x of the linkage; the sentinel bit keeps all 4^n.
+        digits = bin(oracle.linkage | 1 << size * size)[:1:-1]
+        points = [1 << p for p in reversed(range(n))]
+        # Column 1 << p of every row, and row 1 << p, highest point first.
+        to_cols = zip(*(digits[b::size] for b in points))
+        from_rows = zip(*(digits[b * size:(b + 1) * size] for b in points))
+        oracle._bitsets["links"] = (
+            [int("".join(c), 2) for c in to_cols],
+            [int("".join(c), 2) for c in from_rows],
+        )
+    return oracle._bitsets["links"]
 
 
 def _check_c0(o: BeaOracle) -> AxiomReport:
@@ -719,7 +734,6 @@ def all_halfspaces(oracle: BeaOracle, *, method: str = "auto") -> SetFamily:
     if method == "analytic":
         if oracle.halfspaces is None:
             raise InputError("analytic listing needs an induced oracle")
-        guard("halfspace-universe", n, "analytic halfspace listing")
         out = []
         for h in oracle.halfspaces:
             if oracle.zero_elem is not None and h >> oracle.zero_elem & 1:
@@ -814,8 +828,8 @@ def separate(oracle: BeaOracle, a: int, b: int) -> int:
 
 
 def oracle_to_table(oracle: BeaOracle) -> BeaOracle:
-    """Materialize any oracle as a table by querying every subset pair."""
+    """Materialize any oracle as a table, read off its linkage."""
     n = oracle.universe
-    guard("oracle-table", n, "pair-table materialization")
+    guard("pair-axiom-sweep", n, "pair-table materialization")
     pairs = pairs_of(oracle.linkage, n)
     return BeaOracle.from_table(n, pairs, zero=oracle.zero_elem, one=oracle.one_elem)

@@ -20,21 +20,19 @@ from .errors import InputError, UniverseTooLarge
 DEFAULT_CAPS = {
     # Largest base allowed for a bit-mask set family (storage-level cap).
     "family-base": 64,
-    # Universe bound for sweeps quantifying over subset *pairs*, each on
-    # 4^n-bit pair-index bitsets (see bea): the i4 fallback sweep, the
-    # bidual transport sweep, the filter nesting / filter form sweeps of
-    # the verifiers and the pasch pair sampling.  It also picks the path of
-    # six checks, each on a bitset only within it: table i3 and table i4;
-    # table i1, the table halfspace backtrack and table separate, through
-    # the table's up-closure; and a failing induced i4, which takes its
-    # witness from the sweep.  Past it they scan or join the stored pairs.
+    # Universe bound for building and sweeping 4^n-bit pair-index bitsets
+    # (see bea): table materialization (oracle_to_table); the bi-convexity
+    # tables (transversal oracle, hull reconstruction, complement swap
+    # law); the i4 fallback sweep, the bidual transport sweep, the filter
+    # nesting / filter form sweeps of the verifiers and the pasch pair
+    # sampling.  It also picks the path of six checks, each on a bitset
+    # only within it: table i3 and table i4; table i1, the table halfspace
+    # backtrack and table separate, through the table's up-closure; and a
+    # failing induced i4, which takes its witness from the sweep.  Past it
+    # they scan or join the stored pairs.
     "pair-axiom-sweep": 10,
-    # Universe bound for listing halfspaces analytically.
-    "halfspace-universe": 64,
     # Universe bound for the 2^n brute-force halfspace listing.
     "halfspace-brute": 20,
-    # Universe bound for materializing an oracle as an explicit pair table.
-    "oracle-table": 10,
     # Bound on the intersection/union closures used by the i4 check.
     "closure-size": 4096,
     # Maximum number of homomorphisms an enumeration may return.
@@ -54,8 +52,6 @@ DEFAULT_CAPS = {
     # Universe bound for verify_convexity_duality's cross-check of the
     # hull-transit sweep against the transversal table's own i3.
     "pasch-crosscheck": 5,
-    # Universe bound for building an oracle table from hulls.
-    "biconv-table": 10,
 }
 
 
@@ -86,18 +82,36 @@ def load_caps() -> dict:
     return caps
 
 
-ACTIVE_CAPS = load_caps()
+# A DUALITY_CAPS refused at import cannot raise there, where no caller can
+# catch it: the defaults stand in, and every cap read and every CLI command
+# raises the refusal until a reload succeeds.
+try:
+    ACTIVE_CAPS = load_caps()
+    _refused: str | None = None
+except InputError as exc:
+    ACTIVE_CAPS = dict(DEFAULT_CAPS)
+    _refused = str(exc)
+
+
+def check_environment() -> None:
+    """Raise :class:`InputError` if ``DUALITY_CAPS`` was refused at import
+    and no :func:`reload_caps` has succeeded since."""
+    if _refused is not None:
+        raise InputError(_refused)
 
 
 def reload_caps() -> None:
     """Re-read ``DUALITY_CAPS`` from the environment; a refused value
     leaves the active caps as they were."""
+    global _refused
     caps = load_caps()
     ACTIVE_CAPS.clear()
     ACTIVE_CAPS.update(caps)
+    _refused = None
 
 
 def get_cap(name: str) -> int:
+    check_environment()
     try:
         return ACTIVE_CAPS[name]
     except KeyError:

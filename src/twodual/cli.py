@@ -28,6 +28,7 @@ import sys
 
 from . import jsonio
 from .bea import BeaOracle, check_axioms, family_bea, separate
+from .caps import check_environment
 from .convexity import BiConvexity
 from .core import FiniteStructure, SetFamily, TwoTemplate, bits
 from .duality import bidual_and_evaluate, dual, ultimate_bidual_report, ultimate_dual
@@ -481,6 +482,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        check_environment()
         return args.func(args)
     except _CAP_ERRORS as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -152,7 +152,7 @@ def bea_from_biconvexity(space: BiConvexity, *, force: bool = False) -> BeaOracl
         if not report.passed:
             raise NotNormal(report)
     n = space.universe
-    guard("biconv-table", n, "transversal table")
+    guard("pair-axiom-sweep", n, "transversal table")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
     pairs = pairs_of(transversal_bits(n, hu, hl), n)
@@ -243,7 +243,7 @@ def biconvexity_from_bea(
     if not skip_axioms:
         require_axioms(oracle, ("i0", "i1", "i2", "i3", "i4"))
     n = oracle.universe
-    guard("biconv-table", n, "hull reconstruction")
+    guard("pair-axiom-sweep", n, "hull reconstruction")
     cu, cl = singleton_links(oracle)
     for m in range(1 << n):
         if m & ~cl[m] or m & ~cu[m]:
@@ -309,7 +309,7 @@ def check_complemented(space: BiConvexity) -> ComplementedReport:
     if space.zero_elem is None or space.one_elem is None:
         raise MissingConstants("complementation needs designated constants")
     n = space.universe
-    guard("biconv-table", n, "transversal table")
+    guard("pair-axiom-sweep", n, "transversal table")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
     below_zero = hl[1 << space.zero_elem]

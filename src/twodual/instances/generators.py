@@ -67,8 +67,16 @@ def _is_transitive(rows, n) -> bool:
 
 
 def _exhaustive_poset_rows(n: int):
+    """Every labeled poset on ``n`` points as bit rows, by filtering the
+    ``2^(n(n-1))`` off-diagonal relations; refused past 4 points, where
+    that is a million relations or more."""
     if n == 0:
         raise EmptyUniverse("posets need at least one point")
+    if n > _EXHAUSTIVE_POSET_LIMIT:
+        raise UniverseTooLarge(
+            "poset-exhaustive", _EXHAUSTIVE_POSET_LIMIT, n,
+            "exhaustive labeled enumeration",
+        )
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     diag = [1 << i for i in range(n)]
     for mask in range(1 << len(off_diag)):
@@ -108,11 +116,6 @@ def gen_posets(
     if n < 1:
         raise EmptyUniverse("posets need at least one point")
     if mode == "exhaustive":
-        if n > _EXHAUSTIVE_POSET_LIMIT:
-            raise UniverseTooLarge(
-                "poset-exhaustive", _EXHAUSTIVE_POSET_LIMIT, n,
-                "exhaustive labeled enumeration",
-            )
         return [_order_structure(rows) for rows in _exhaustive_poset_rows(n)]
     if mode == "random":
         rng = SplitMix64(0 if seed is None else seed)
@@ -647,12 +650,14 @@ def gen_separated_instances(
     projections separate points and reflect relations); within one call,
     draws that give the same instance give the same object.  Oracle
     templates: linkages of random set families, with designated members
-    matching the variant's constants.
+    matching the variant's constants; within one call, draws of the same
+    family give the same object.
     """
     if name.lower() in ORACLE_TEMPLATES:
         temp = oracle_template(name)
         rng = SplitMix64(seed)
         out = []
+        built: dict = {}
         while len(out) < count:
             base = rng.randint(2, 6)
             # A small base has only 2^base distinct masks to offer.
@@ -664,13 +669,15 @@ def gen_separated_instances(
                 members.add((1 << base) - 1)
             while len(members) < size:
                 members.add(rng.mask(base))
-            fam = SetFamily(
-                base=base,
-                sets=tuple(sorted(members)),
-                has_empty_as_zero=temp.zero_elem is not None,
-                has_base_as_one=temp.one_elem is not None,
-            )
-            out.append(family_bea(fam))
+            key = (base, tuple(sorted(members)))
+            if key not in built:
+                built[key] = family_bea(SetFamily(
+                    base=base,
+                    sets=key[1],
+                    has_empty_as_zero=temp.zero_elem is not None,
+                    has_base_as_one=temp.one_elem is not None,
+                ))
+            out.append(built[key])
         return out
 
     temp = template(name)

@@ -153,7 +153,6 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
 def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
     order_t = template("order")
     lat_t = template("bounded_lattice")
-    max_size = min(max_size, 4)
     counts = {}
     posets: list[FiniteStructure] = []
     for n in range(1, max_size + 1):
@@ -286,7 +285,7 @@ def verify_stone(max_size: int = 4, *, threads: int = 1) -> dict:
 
     # A bounded distributive lattice is Boolean exactly when its dual
     # order is discrete — checked in both directions over the corpus.
-    lattices = _dedup_lattices(min(max_size, 4))
+    lattices = _dedup_lattices(max_size)
 
     def check_boolean(lat: FiniteStructure) -> dict:
         boolean = _is_boolean(lat)
@@ -374,7 +373,7 @@ def verify_hms(
     semi0_t = template("semilattice0")
     semi01_t = template("semilattice01")
     corpus: list[FiniteStructure] = []
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, max_size + 1):
         corpus.extend(gen_semilattices(n))
     corpus.extend(gen_semilattices(rand_max, "random", seed=seed, count=samples))
 

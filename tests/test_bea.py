@@ -42,7 +42,7 @@ from twodual.bea import (
     transversal_bits,
     up_closure,
 )
-from twodual.convexity import bea_from_biconvexity
+from twodual.convexity import bea_from_biconvexity, biconvexity_from_bea
 from twodual.core import SetFamily, mask_of
 from twodual.errors import EmptyUniverse, InputError
 from twodual.instances import verifiers
@@ -511,6 +511,52 @@ def test_transversal_bits_and_pairs_of_match_the_double_loop():
                 assert list(pairs_of(bitset, n)) == want
 
 
+def reference_singleton_links(oracle):
+    """The singleton links by their definition, one query per subset and
+    point: the points ``p`` with ``s ⋈ {p}``, and those with ``{p} ⋈ s``."""
+    n = oracle.universe
+    subsets = range(1 << n)
+    return (
+        [mask_of(p for p in range(n) if oracle.query(s, 1 << p)) for s in subsets],
+        [mask_of(p for p in range(n) if oracle.query(1 << p, s)) for s in subsets],
+    )
+
+
+def test_singleton_links_match_the_query_loop():
+    induced = list(induced_oracles(79, 40, 7))
+    tables = [oracle_to_table(o) for o in induced] + list(damaged_tables(83, 40, 6))
+    constants = set()
+    for oracle in induced + tables:
+        assert singleton_links(oracle) == reference_singleton_links(oracle)
+        constants.add((oracle.realization, oracle.zero_elem is None))
+    assert constants == {
+        (realization, bare)
+        for realization in ("induced", "table")
+        for bare in (True, False)
+    }
+
+
+def test_singleton_links_are_built_once_per_oracle_without_queries(monkeypatch):
+    corpus = gen_biconvexity()
+    oracles = [
+        bea_from_biconvexity(space, force=True)
+        for kind in ("plain", "symmetric")
+        for space in corpus[kind]
+    ]
+    assert len(oracles) > 10
+
+    def refused(*args):
+        raise AssertionError("a singleton link was queried")
+
+    monkeypatch.setattr(BeaOracle, "query", refused)
+    for oracle in oracles:
+        assert check_axiom(oracle, "i4").passed
+        links = oracle._bitsets["links"]
+        biconvexity_from_bea(oracle, skip_axioms=True)
+        assert oracle._bitsets["links"] is links
+        assert singleton_links(oracle) is links
+
+
 def test_i4_sweep_and_oracle_to_table_match_the_query_loops():
     oracles = random_oracle_instances(60, 29, max_universe=6)
     oracles += [
@@ -520,7 +566,7 @@ def test_i4_sweep_and_oracle_to_table_match_the_query_loops():
     failing = 0
     for o in oracles:
         n = o.universe
-        to_points, from_points = singleton_links(o)
+        to_points, from_points = reference_singleton_links(o)
         want = _report(
             "i4",
             reference_pairs(
@@ -657,10 +703,12 @@ def reference_i4(oracle):
 
 @pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
 def test_table_i4_matches_the_pair_scan(cap, monkeypatch):
+    # Built first: the corpus materializes tables, which needs the cap.
+    tables = list(damaged_tables(61, 200, 6))
     if cap is not None:
         monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
     verdicts = set()
-    for oracle in damaged_tables(61, 200, 6):
+    for oracle in tables:
         want = reference_i4(oracle)
         assert check_axiom(oracle, "i4") == want
         verdicts.add(want.passed)
@@ -718,7 +766,8 @@ def test_a_table_builds_its_up_closure_once_and_stays_equal_to_a_fresh_one(
     assert not used.query(a, b)
     assert separate(used, a, b) == reference_separate(fresh, a, b)
     assert calls == [4]
-    assert set(used._bitsets) == {"linkage", "above"} and not fresh._bitsets
+    assert set(used._bitsets) == {"linkage", "above", "links"}
+    assert not fresh._bitsets
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert dumps(bea_to_json(used)) == dumps(bea_to_json(fresh))
@@ -835,10 +884,11 @@ def separation_corpus():
 
 @pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
 def test_separate_matches_the_two_path_reference(cap, monkeypatch):
+    corpus = list(separation_corpus())
     if cap is not None:
         monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
     kinds = set()
-    for oracle in separation_corpus():
+    for oracle in corpus:
         for s in range(1 << oracle.universe):
             for t in range(1 << oracle.universe):
                 want = separation_outcome(reference_separate, oracle, s, t)
@@ -853,11 +903,11 @@ def test_separate_matches_the_two_path_reference(cap, monkeypatch):
 
 @pytest.mark.parametrize("cap", [None, 2], ids=["within-cap", "past-cap"])
 def test_cover_test_matches_its_definition(cap, monkeypatch):
+    corpus = [(o, oracle_to_table(o).pairs) for o in separation_corpus()]
     if cap is not None:
         monkeypatch.setitem(caps.ACTIVE_CAPS, "pair-axiom-sweep", cap)
-    for oracle in separation_corpus():
+    for oracle, pairs in corpus:
         n = oracle.universe
-        pairs = oracle_to_table(oracle).pairs
         covered = bea._cover_test(oracle)
         for s in range(1 << n):
             for t in range(1 << n):

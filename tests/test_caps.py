@@ -49,8 +49,28 @@ def test_the_declared_caps_are_the_caps_read():
 
 def test_an_undeclared_cap_is_refused_from_the_environment(monkeypatch):
     before = dict(caps.ACTIVE_CAPS)
-    monkeypatch.setenv("DUALITY_CAPS", "axiom-sweep=12")
-    with pytest.raises(InputError, match="unknown cap 'axiom-sweep'"):
+    # Each name was a cap once; the last three were folded into
+    # pair-axiom-sweep and family-base, which bound the same work.
+    for name in ("axiom-sweep", "oracle-table", "biconv-table", "halfspace-universe"):
+        monkeypatch.setenv("DUALITY_CAPS", f"{name}=12")
+        with pytest.raises(InputError, match=f"unknown cap '{name}'"):
+            caps.reload_caps()
+        # A refused reload keeps the caps in force.
+        assert caps.ACTIVE_CAPS == before
+
+
+def test_a_refusal_at_import_holds_until_a_reload_succeeds(monkeypatch):
+    # The state a refused DUALITY_CAPS leaves at import, on a copy of the
+    # caps so that the reload below leaves the session's caps alone.
+    monkeypatch.setattr(caps, "ACTIVE_CAPS", dict(caps.ACTIVE_CAPS))
+    monkeypatch.setattr(caps, "_refused", "DUALITY_CAPS names unknown cap 'x'")
+    with pytest.raises(InputError, match="unknown cap 'x'"):
+        caps.get_cap("hom-limit")
+    monkeypatch.setenv("DUALITY_CAPS", "x=1")
+    with pytest.raises(InputError):
         caps.reload_caps()
-    # A refused reload keeps the caps in force.
-    assert caps.ACTIVE_CAPS == before
+    with pytest.raises(InputError, match="unknown cap 'x'"):
+        caps.check_environment()
+    monkeypatch.delenv("DUALITY_CAPS")
+    caps.reload_caps()
+    assert caps.get_cap("hom-limit") == caps.DEFAULT_CAPS["hom-limit"]

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -237,6 +241,18 @@ def test_verify_seed_zero_is_not_the_default_seed(capsys):
     assert report("--seed", "11") == default
 
 
+@pytest.mark.parametrize("suite", ["priestley", "stone", "hms"])
+def test_verify_max_size_past_the_exhaustive_posets_exits_3(suite, capsys):
+    # These suites enumerate every labeled poset up to --max-size, so a
+    # size past 4 is refused rather than cut to 4.
+    code = main(["verify", "--suite", suite, "--max-size", "5",
+                 "--threads", "1", "--format", "json"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'poset-exhaustive' = 4" in captured.err
+
+
 def test_verify_rejects_a_max_size_its_suite_cannot_draw(capsys):
     code = main(["verify", "--suite", "pasch", "--max-size", "0",
                  "--samples", "1", "--threads", "1"])
@@ -344,6 +360,48 @@ def test_gen_writes_corpus_files(tmp_path):
 
 def test_gen_rejects_unknown_classes():
     assert main(["gen", "--class", "widget", "--size", "3"]) == 2
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def test_a_refused_caps_environment_exits_2_on_every_subcommand(chain2_bea):
+    commands = [
+        ["check-axioms", "--in", chain2_bea],
+        ["dual", "--in", chain2_bea],
+        ["reflexivity", "--in", chain2_bea],
+        ["separate", "--in", chain2_bea, "--a", "1", "--b", "0"],
+        ["verify", "--suite", "stone", "--threads", "1"],
+        ["gen", "--class", "poset", "--size", "2"],
+    ]
+    # DUALITY_CAPS is read at import, so each setting needs a new process.
+    script = (
+        "import json, sys\n"
+        "from twodual.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+
+    def run(setting, *argv):
+        env = dict(os.environ, DUALITY_CAPS=setting, PYTHONPATH=path)
+        return subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    for setting, name in [("axiom-sweep=3", "axiom-sweep"),
+                          ("oracle-table=12", "oracle-table"),
+                          ("hom-limit=many", "hom-limit")]:
+        done = run(setting, "-c", script, json.dumps(commands))
+        assert json.loads(done.stdout) == [2] * len(commands), done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == len(commands)
+        assert all(
+            line.startswith("error: DUALITY_CAPS") and repr(name) in line
+            for line in lines
+        )
+    done = run("axiom-sweep=3", "-m", "twodual.cli", "verify", "--suite", "stone")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == "error: DUALITY_CAPS names unknown cap 'axiom-sweep'\n"
 
 
 def test_caps_exit_code(tmp_path, capsys):

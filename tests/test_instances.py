@@ -299,8 +299,36 @@ def test_separated_instances_build_each_instance_once_per_call(monkeypatch):
         assert len(built) == len({id(x) for x in xs}) < len(xs)
 
 
+# sha256 of the repr of (universe, halfspaces, zero, one) per oracle of
+# gen_separated_instances(name, 100, seed=3), recorded when each draw
+# built its own oracle.
+SEPARATED_ORACLE_PINS = {
+    "ultimate": "eec9b6c01e1f9a81706837dbb82d0570820d47e299733999f841136647c662e5",
+    "ultimate0": "4b6c907dd98e3d3fa3a91476bbcf32f1f680cca5db588a1323717019df54bfd5",
+    "ultimate01": "bb0002f9300df0f0f6df5539c4daf1096cbd59c98b3b969d9792a494a1a9b0ca",
+}
+
+
+def test_separated_oracles_build_each_family_once_per_call(monkeypatch):
+    build = generators.family_bea
+    built = []
+
+    def counted(fam):
+        built.append((fam.base, fam.sets))
+        return build(fam)
+
+    monkeypatch.setattr(generators, "family_bea", counted)
+    for name, pin in SEPARATED_ORACLE_PINS.items():
+        built.clear()
+        xs = gen_separated_instances(name, 100, seed=3)
+        key = repr([(o.universe, o.halfspaces, o.zero_elem, o.one_elem) for o in xs])
+        assert hashlib.sha256(key.encode()).hexdigest() == pin
+        # Repeats append the object built for the first of them.
+        assert len(built) == len(set(built)) == len({id(x) for x in xs}) < len(xs)
+
+
 def test_separated_instances_carry_no_state_across_calls():
-    for name in ("order", "semilattice01", "bounded_lattice"):
+    for name in ("order", "semilattice01", "bounded_lattice", "ultimate01"):
         xs = gen_separated_instances(name, 30, seed=5)
         ys = gen_separated_instances(name, 30, seed=5)
         assert xs == ys
