@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -50,22 +51,55 @@ def subset_images(n: int, point_masks) -> list[int]:
     return img
 
 
-def op_mask(ones, sides, full: int) -> int:
-    """An operation of a two-element template applied coordinatewise to
-    masks: the coordinates where the result is 1.
+@functools.cache
+def op_kernel(graph: frozenset):
+    """An operation of a two-element template, given as its graph,
+    compiled to ``op(full, *masks)``: the mask of the coordinates where
+    the operation sends the argument masks to 1.
 
-    ``ones`` lists the template's argument rows valued 1 and ``sides[i]``
-    is ``(full & ~a, a)`` for the ``i``-th argument mask ``a``.  The result
-    is the OR, over those rows, of the AND of each argument's side named
-    by the row.
+    The body is one expression over the argument masks, built once per
+    graph: the OR, over the rows valued 1, of the AND of each argument or
+    its complement, or the complement of that OR over the other rows of
+    ``{0, 1}^k``, whichever lists fewer rows.  A row outside the graph
+    counts as valued 0.
     """
-    out = 0
-    for row in ones:
-        at = full
-        for side, v in zip(sides, row):
-            at &= side[v]
-        out |= at
-    return out
+    k = len(next(iter(graph))) - 1
+    ones = {t[:-1] for t in graph if t[-1]}
+    zeros = set(itertools.product((0, 1), repeat=k)) - ones
+    args = [f"a{i}" for i in range(k)]
+
+    def term(row) -> str:
+        pos = " & ".join(a for a, v in zip(args, row) if v)
+        neg = " | ".join(a for a, v in zip(args, row) if not v)
+        if not neg:
+            return pos or "full"
+        if not pos:
+            return f"(full ^ ({neg}))"
+        return f"({pos} & ~({neg}))"
+
+    if not zeros:
+        body = "full"
+    elif len(zeros) < len(ones):
+        body = "full ^ (" + " | ".join(map(term, sorted(zeros))) + ")"
+    else:
+        body = " | ".join(map(term, sorted(ones))) or "0"
+    namespace: dict = {}
+    exec(f"def op(full, {', '.join(args)}):\n    return {body}\n", namespace)
+    return namespace["op"]
+
+
+@functools.cache
+def _function_kernel(allowed: frozenset, arity: int):
+    """The :func:`op_kernel` of ``allowed`` when it is the graph of a
+    total function ``{0, 1}^(arity-1) -> {0, 1}``, else None."""
+    args = {t[:-1] for t in allowed}
+    if (
+        len(args) != len(allowed)
+        or len(args) != 1 << (arity - 1)
+        or any(len(t) != arity or not set(t) <= {0, 1} for t in allowed)
+    ):
+        return None
+    return op_kernel(allowed)
 
 
 def collisions(rows) -> tuple[tuple[int, int], ...]:
@@ -84,11 +118,28 @@ def preserved_tuples(rows, width: int, arity: int, allowed):
     """The ``arity``-tuples of points that each of ``width`` maps into
     ``{0, 1}`` sends into ``allowed``, in ``itertools.product`` order.
 
-    ``rows[x]`` masks the maps sending point ``x`` to 1.  A tuple is out as
-    soon as some map matches a disallowed image along it, i.e. the AND of
-    ``rows[x]`` (or its complement) over the tuple's positions is nonzero.
+    ``rows[x]`` masks the maps sending point ``x`` to 1.  When ``allowed``
+    is the graph of a total function, ``(args.., c)`` is kept iff
+    ``rows[c]`` is the function applied to the rows of ``args``: one
+    :func:`op_kernel` call per argument tuple.  Otherwise a tuple is out
+    as soon as some map matches a disallowed image along it, i.e. the AND
+    of ``rows[x]`` (or its complement) over the tuple's positions is
+    nonzero.
     """
     full = (1 << width) - 1
+    op = _function_kernel(allowed, arity)
+    if op is not None:
+        points: dict = {}
+        for x, row in enumerate(rows):
+            points.setdefault(row, []).append(x)
+        return (
+            args + (c,)
+            for args, masks in zip(
+                itertools.product(range(len(rows)), repeat=arity - 1),
+                itertools.product(rows, repeat=arity - 1),
+            )
+            for c in points.get(op(full, *masks), ())
+        )
     by_value = [(full & ~row, row) for row in rows]
     live = [
         (img, full)
@@ -168,7 +219,13 @@ class Signature:
 
 
 def _freeze_tuples(raw) -> dict:
-    return {name: frozenset(tuple(t) for t in tups) for name, tups in raw.items()}
+    """Each relation as a frozenset of tuples; a frozenset is kept as
+    given."""
+    return {
+        name: tups if isinstance(tups, frozenset)
+        else frozenset(tuple(t) for t in tups)
+        for name, tups in raw.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -197,6 +254,17 @@ class FiniteStructure:
     def op(self, name: str) -> dict:
         """Graph of a functional symbol as an ``args -> result`` dict."""
         return {t[:-1]: t[-1] for t in self.rel(name)}
+
+
+def structure_key(structure: FiniteStructure) -> tuple:
+    """A hashable key equal for equal structures: signature, size,
+    relations and constants."""
+    return (
+        structure.signature,
+        structure.size,
+        tuple(sorted(structure.tuples.items())),
+        tuple(sorted(structure.constants.items())),
+    )
 
 
 @dataclass(frozen=True)

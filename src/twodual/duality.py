@@ -26,7 +26,7 @@ from .core import (
     bits,
     collisions,
     mask_of,
-    op_mask,
+    op_kernel,
     preserved_tuples,
 )
 from .errors import (
@@ -129,24 +129,22 @@ def power_substructure(
     index = {mask: i for i, mask in enumerate(masks)}
     m = len(masks)
     full = (1 << width) - 1
-    # sides[i][v]: the coordinates where point i is v.
-    sides = [(full & ~mask, mask) for mask in masks]
-    tuples: dict[str, set] = {}
+    tuples: dict[str, frozenset] = {}
     for sym in template.signature.symbols:
         rel = template.structure.rel(sym.name)
         if sym.functional:
-            ones = [t[:-1] for t in rel if t[-1]]
-            made = set()
+            op = op_kernel(rel)
+            made = []
             arity = sym.arity - 1
-            for args, arg_sides in zip(
+            for args, arg_masks in zip(
                 itertools.product(range(m), repeat=arity),
-                itertools.product(sides, repeat=arity),
+                itertools.product(masks, repeat=arity),
             ):
-                out_mask = op_mask(ones, arg_sides, full)
+                out_mask = op(full, *arg_masks)
                 if out_mask not in index:
                     raise S1Violation(sym.name, args, out_mask)
-                made.add(args + (index[out_mask],))
-            tuples[sym.name] = made
+                made.append(args + (index[out_mask],))
+            tuples[sym.name] = frozenset(made)
         else:
             guard(
                 "induced-product",
@@ -154,7 +152,7 @@ def power_substructure(
                 f"induced relation {sym.name!r}",
             )
             made = preserved_tuples(masks, width, sym.arity, rel)
-            tuples[sym.name] = set(made)
+            tuples[sym.name] = frozenset(made)
 
     constants = {}
     for cname in template.signature.constants:

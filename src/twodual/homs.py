@@ -15,13 +15,22 @@ front, so memory grows with the template's own relations and with the
 states actually visited: at most ``3^k`` per compiled pattern set of ``k``
 elements.
 
+Within a :func:`search_memo` block (``run_suite`` opens one per suite
+run), each distinct (structure, template) backtrack search runs once,
+keyed by content with :func:`twodual.core.structure_key`; a repeat gets
+the same :class:`HomSet`.  The brute engine never reads the memo.
+
 Separation reports sweep the point rows over the hom-set as bitsets: a
 non-tuple is reflected iff some disallowed image has a nonzero AND of the
-rows (or their complements) along it.
+rows (or their complements) along it.  A relation whose allowed set is the
+graph of a total function, such as ``meet`` or ``eq``, is instead
+reflected by applying the function to the rows of each argument tuple.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -32,6 +41,7 @@ from .core import (
     TwoTemplate,
     collisions,
     preserved_tuples,
+    structure_key,
 )
 from .errors import (
     HomLimitExceeded,
@@ -184,6 +194,28 @@ def _seed_assignment(structure, template):
     return h
 
 
+# The backtrack searches of the current `search_memo` block, keyed by
+# (hom limit, structure, template); None outside one.
+_SEARCHES: contextvars.ContextVar = contextvars.ContextVar(
+    "twodual_hom_searches", default=None
+)
+
+
+@contextlib.contextmanager
+def search_memo():
+    """Within the block, ``enumerate_homs(method="backtrack")`` searches
+    each distinct (structure, template) pair once, by content, and gives
+    every later call the same :class:`HomSet`.  A search that raised is
+    not kept.  The memo lives in a context variable, so it is seen by the
+    thread that opened it and not by new threads, and it is dropped when
+    the block ends."""
+    token = _SEARCHES.set({})
+    try:
+        yield
+    finally:
+        _SEARCHES.reset(token)
+
+
 def _check_full(mask: int, flat_constraints) -> bool:
     for t, allowed in flat_constraints:
         img = tuple((mask >> e) & 1 for e in t)
@@ -205,17 +237,17 @@ def enumerate_homs(
     its compiled shape, see the module notes for the memory it keeps) or
     ``"brute"`` (tries every one of the ``2^n`` maps; independent
     cross-check, capped).  The ``hom-limit`` cap bounds the number of
-    homs.
+    homs.  Inside a :func:`search_memo` block a backtrack search equal to
+    an earlier one returns that search's hom-set.
     """
     if structure.signature != template.signature:
         raise SignatureMismatch("structure and template signatures differ")
     limit = get_cap("hom-limit")
     seed = _seed_assignment(structure, template)
 
-    n = structure.size
-    masks: list[int] = []
-
     if method == "brute":
+        n = structure.size
+        masks: list[int] = []
         guard("hom-brute-universe", n, "brute-force hom enumeration")
         flat = _constraints(structure, template)
         for mask in range(1 << n):
@@ -231,6 +263,20 @@ def enumerate_homs(
 
     if method != "backtrack":
         raise InputError(f"unknown hom enumeration method {method!r}")
+    memo = _SEARCHES.get()
+    if memo is None:
+        return _backtrack(structure, template, seed, limit)
+    key = (limit, structure_key(structure), structure_key(template.structure))
+    found = memo.get(key)
+    if found is None:
+        found = memo[key] = _backtrack(structure, template, seed, limit)
+    return found
+
+
+def _backtrack(structure, template, seed, limit: int) -> HomSet:
+    """The backtrack engine, from the assignment the constants force."""
+    n = structure.size
+    masks: list[int] = []
     if seed is None:
         return HomSet(n, template, SetFamily(base=n, sets=()))
     per_element = _compile(structure, template)

@@ -13,18 +13,21 @@ Separated instances of a finite template are sets of vectors of ``2^k``.
 Each vector is held as a ``k``-bit mask with coordinate 0 as the high
 bit, so that sorted masks come in the order of sorted tuples; a mask is
 also the vector's point row over the ``k`` coordinate projections.  The
-closure applies operations to masks with :func:`twodual.core.op_mask`, and
+closure applies each operation to masks with its compiled
+:func:`twodual.core.op_kernel`, and
 :func:`twodual.duality.power_substructure` builds the instance, as it
 builds a dual from hom masks.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 
 from ..bea import BeaOracle, family_bea
 from ..convexity import BiConvexity, biconvexity_from_bea
-from ..core import FiniteStructure, SetFamily, bits, op_mask
+from ..core import FiniteStructure, SetFamily, bits, op_kernel
 from ..duality import power_substructure
 from ..errors import EmptyUniverse, InputError, UniverseTooLarge
 from ..rng import SplitMix64
@@ -66,17 +69,22 @@ def _is_transitive(rows, n) -> bool:
     return True
 
 
-def _exhaustive_poset_rows(n: int):
-    """Every labeled poset on ``n`` points as bit rows, by filtering the
-    ``2^(n(n-1))`` off-diagonal relations; refused past 4 points, where
-    that is a million relations or more."""
-    if n == 0:
-        raise EmptyUniverse("posets need at least one point")
+def guard_exhaustive_posets(n: int) -> None:
+    """Refuse an exhaustive labeled enumeration of posets on more than 4
+    points, where it filters a million relations or more."""
     if n > _EXHAUSTIVE_POSET_LIMIT:
         raise UniverseTooLarge(
             "poset-exhaustive", _EXHAUSTIVE_POSET_LIMIT, n,
             "exhaustive labeled enumeration",
         )
+
+
+def _exhaustive_poset_rows(n: int):
+    """Every labeled poset on ``n`` points as bit rows, by filtering the
+    ``2^(n(n-1))`` off-diagonal relations; see `guard_exhaustive_posets`."""
+    if n == 0:
+        raise EmptyUniverse("posets need at least one point")
+    guard_exhaustive_posets(n)
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     diag = [1 << i for i in range(n)]
     for mask in range(1 << len(off_diag)):
@@ -110,19 +118,22 @@ def _random_poset_rows(n: int, rng: SplitMix64) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def gen_posets(
-    n: int, mode: str = "exhaustive", *, seed: int | None = None, count: int = 10
-) -> list[FiniteStructure]:
+def _poset_rows(n: int, mode: str, seed: int | None, count: int):
+    """The bit rows of the posets `gen_posets` builds."""
     if n < 1:
         raise EmptyUniverse("posets need at least one point")
     if mode == "exhaustive":
-        return [_order_structure(rows) for rows in _exhaustive_poset_rows(n)]
+        return _exhaustive_poset_rows(n)
     if mode == "random":
         rng = SplitMix64(0 if seed is None else seed)
-        return [
-            _order_structure(_random_poset_rows(n, rng)) for _ in range(count)
-        ]
+        return [_random_poset_rows(n, rng) for _ in range(count)]
     raise InputError(f"unknown poset mode {mode!r}")
+
+
+def gen_posets(
+    n: int, mode: str = "exhaustive", *, seed: int | None = None, count: int = 10
+) -> list[FiniteStructure]:
+    return [_order_structure(rows) for rows in _poset_rows(n, mode, seed, count)]
 
 
 def count_posets_brute(n: int) -> int:
@@ -276,42 +287,53 @@ def count_semilattice_tables(n: int) -> int:
 
 # ----------------------------------------------------- down-set lattices
 
+def _down_set_tables(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The meet and join tables of the down-set lattice of a poset's
+    ``leq_rows``, flat: entry ``a * size + b`` is ``a ∧ b`` (``a ∨ b``),
+    the down-sets indexed in increasing mask order."""
+    downs = _closed_sets(_below_rows(rows))
+    index = {m: k for k, m in enumerate(downs)}
+    meet = tuple(index[a & b] for a in downs for b in downs)
+    join = tuple(index[a | b] for a in downs for b in downs)
+    return meet, join
+
+
+def _lattice_structure(meet, join) -> FiniteStructure:
+    """A bounded lattice from flat tables over down-sets indexed in mask
+    order: ∅ is element 0 and the whole set the last element."""
+    size = math.isqrt(len(meet))
+
+    def graph(table) -> frozenset:
+        return frozenset(
+            (a, b, table[a * size + b]) for a in range(size) for b in range(size)
+        )
+
+    return FiniteStructure(
+        signature=template("bounded_lattice").signature,
+        size=size,
+        tuples={"meet": graph(meet), "join": graph(join)},
+        constants={"zero": 0, "one": size - 1},
+    )
+
+
 def down_set_lattice(poset: FiniteStructure) -> FiniteStructure:
     """The bounded distributive lattice of down-sets of a poset, ordered
     by inclusion, with ∧ = ∩ and ∨ = ∪."""
-    n = poset.size
-    downs = _closed_sets(_below_rows(leq_rows(poset)))
-    index = {m: k for k, m in enumerate(downs)}
-    sig = template("bounded_lattice").signature
-    meet = frozenset(
-        (index[a], index[b], index[a & b]) for a in downs for b in downs
-    )
-    join = frozenset(
-        (index[a], index[b], index[a | b]) for a in downs for b in downs
-    )
-    return FiniteStructure(
-        signature=sig,
-        size=len(downs),
-        tuples={"meet": meet, "join": join},
-        constants={"zero": index[0], "one": index[(1 << n) - 1]},
-    )
+    return _lattice_structure(*_down_set_tables(leq_rows(poset)))
 
 
 def gen_distributive_lattices(
     n: int, mode: str = "exhaustive", *, seed: int | None = None, count: int = 10
 ) -> list[FiniteStructure]:
     """Down-set lattices of posets on n points, deduplicated by their
-    operation tables (relabelings of the same lattice collapse)."""
-    posets = gen_posets(n, mode, seed=seed, count=count)
-    seen = set()
-    out = []
-    for p in posets:
-        lat = down_set_lattice(p)
-        key = (lat.size, lat.rel("meet"), lat.rel("join"))
-        if key not in seen:
-            seen.add(key)
-            out.append(lat)
-    return out
+    operation tables (relabelings of the same lattice collapse) before
+    any is built."""
+    built: dict = {}
+    for rows in _poset_rows(n, mode, seed, count):
+        tables = _down_set_tables(rows)
+        if tables not in built:
+            built[tables] = _lattice_structure(*tables)
+    return list(built.values())
 
 
 # ---------------------------------------------------------- set families
@@ -615,28 +637,28 @@ def _closure_under_ops(
     """
     full = (1 << k) - 1
     ops = [
-        ([t[:-1] for t in temp.structure.rel(s.name) if t[-1]], s.arity - 1)
+        (op_kernel(temp.structure.rel(s.name)), s.arity - 1)
         for s in temp.signature.symbols
         if s.functional
     ]
     frontier = list(vectors)
+    known = sorted(vectors)
     while frontier:
         if len(vectors) > max_size:
             return None
         v = frontier.pop()
-        mine = (full ^ v, v)
-        known = [(full ^ w, w) for w in sorted(vectors)]
-        older = [side for side in known if side[1] != v]
-        for ones, arity in ops:
+        older = [w for w in known if w != v]
+        for op, arity in ops:
             # Each tuple once: position i is the first to hold v.
             for i in range(arity):
-                for sides in itertools.product(
-                    *[older] * i, (mine,), *[known] * (arity - i - 1)
+                for args in itertools.product(
+                    *[older] * i, (v,), *[known] * (arity - i - 1)
                 ):
-                    out = op_mask(ones, sides, full)
+                    out = op(full, *args)
                     if out not in vectors:
                         vectors.add(out)
                         frontier.append(out)
+                        bisect.insort(known, out)
     return vectors if len(vectors) <= max_size else None
 
 

@@ -35,6 +35,7 @@ from ..core import (
     SetFamily,
     bits,
     mask_of,
+    structure_key,
     subset_images,
 )
 from ..duality import (
@@ -51,7 +52,7 @@ from ..errors import (
     PaschFailure,
     S1Violation,
 )
-from ..homs import enumerate_homs, is_separated
+from ..homs import enumerate_homs, is_separated, search_memo
 from ..rng import SplitMix64
 from .catalog import ORACLE_TEMPLATES, template, template_names
 from .generators import (
@@ -62,6 +63,7 @@ from .generators import (
     gen_posets,
     gen_semilattices,
     gen_separated_instances,
+    guard_exhaustive_posets,
     minimal_betweenness,
     nonnormal_planar,
     random_oracle_instances,
@@ -73,12 +75,7 @@ def _instance_key(item):
     signature, size, relations and constants; any other item (an int, an
     oracle, a tuple of them) is its own key."""
     if isinstance(item, FiniteStructure):
-        return (
-            item.signature,
-            item.size,
-            tuple(sorted(item.tuples.items())),
-            tuple(sorted(item.constants.items())),
-        )
+        return structure_key(item)
     return item
 
 
@@ -151,6 +148,7 @@ def _filter_nesting(filters: SetFamily) -> tuple[bool, tuple | None]:
 
 
 def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
+    guard_exhaustive_posets(max_size)
     order_t = template("order")
     lat_t = template("bounded_lattice")
     counts = {}
@@ -210,8 +208,10 @@ def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
             "pass": ok,
         }
 
-    poset_entries = ordered_map(check_poset, posets, threads)
+    # Lattices first: a poset's dual is one of these lattices, so its
+    # searches hit the ones these keep, keyed by the corpus lattices.
     lattice_entries = ordered_map(check_lattice, lattices, threads)
+    poset_entries = ordered_map(check_poset, posets, threads)
     ok = (
         all(c["agree"] for c in counts.values())
         and all(e["pass"] for e in poset_entries)
@@ -250,6 +250,8 @@ def _is_boolean(lat: FiniteStructure) -> bool:
 
 
 def verify_stone(max_size: int = 4, *, threads: int = 1) -> dict:
+    # Its lattices are the down-set lattices of every labeled poset.
+    guard_exhaustive_posets(max_size)
     pure_t = template("pure_set")
     bool_t = template("boolean_algebra")
     order_t = template("order")
@@ -963,8 +965,10 @@ def run_suite(
     if name in ("pasch", "ultimate") and max_size is not None and max_size < 2:
         raise InputError(f"suite {name!r} needs --max-size of at least 2")
     given["threads"] = threads
-    return globals()[verifier_name](**{
-        reads[option]: value
-        for option, value in given.items()
-        if option in reads and value is not None
-    })
+    # One hom search per distinct (structure, template) within the run.
+    with search_memo():
+        return globals()[verifier_name](**{
+            reads[option]: value
+            for option, value in given.items()
+            if option in reads and value is not None
+        })

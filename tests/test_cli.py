@@ -229,6 +229,20 @@ def test_verify_stone_suite(capsys):
     assert doc["pass"] is True
 
 
+@pytest.mark.parametrize("suite", ["priestley", "hms"])
+def test_verify_gives_the_same_bytes_on_one_or_two_threads(suite, capsys):
+    # Pool threads start outside the run's hom-search memo and search
+    # again; the report must not tell.
+    out = []
+    for threads in ("1", "2"):
+        argv = ["verify", "--suite", suite, "--format", "json",
+                "--threads", threads]
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
+    assert json.loads(out[0])["pass"] is True
+
+
 def test_verify_seed_zero_is_not_the_default_seed(capsys):
     def report(*extra):
         argv = ["verify", "--suite", "hms", "--max-size", "1", "--samples",

@@ -1,6 +1,7 @@
 """Structures, signatures, set families, and the bit-mask helpers."""
 
 import array
+import itertools
 import random
 import sys
 
@@ -12,9 +13,13 @@ from twodual.core import (
     Signature,
     Symbol,
     TwoTemplate,
+    _preserved,
     bits,
     collisions,
     mask_of,
+    op_kernel,
+    preserved_tuples,
+    structure_key,
     subset_images,
     substructure,
     transpose,
@@ -181,6 +186,119 @@ def test_subset_images_match_per_bit_mapping():
 def test_collisions_pair_each_repeat_with_its_first_row():
     assert collisions([5, 3, 5, 5, 3, 7]) == ((0, 2), (0, 3), (1, 4))
     assert collisions(iter([1, 2, 4])) == ()
+
+
+def reference_op(graph, masks, width):
+    """An operation applied to masks one coordinate at a time: bit ``c``
+    is set iff ``graph`` holds the row of the masks' bits at ``c`` valued
+    1 (a row outside the graph counts as 0)."""
+    table = {t[:-1]: t[-1] for t in graph if t[-1]}
+    out = 0
+    for c in range(width):
+        row = tuple(m >> c & 1 for m in masks)
+        if table.get(row):
+            out |= 1 << c
+    return out
+
+
+def every_function_graph(k):
+    """The graphs of all 2^(2^k) functions {0,1}^k -> {0,1}."""
+    rows = list(itertools.product((0, 1), repeat=k))
+    for values in itertools.product((0, 1), repeat=len(rows)):
+        yield frozenset(r + (v,) for r, v in zip(rows, values))
+
+
+def test_op_kernel_matches_the_per_coordinate_truth_table():
+    rng = random.Random(19)
+    graphs = [g for k in (0, 1, 2) for g in every_function_graph(k)]
+    assert len(graphs) == 2 + 4 + 16
+    rows3 = list(itertools.product((0, 1), repeat=3))
+    graphs += [
+        frozenset(r + (rng.randint(0, 1),) for r in rows3) for _ in range(40)
+    ]
+    # Not a total function: missing rows read 0, a doubled row reads 1.
+    graphs += [
+        frozenset({(0, 1, 1), (1, 1, 0)}),
+        frozenset({(0, 0, 0), (0, 0, 1), (1, 1, 1)}),
+    ]
+    for graph in graphs:
+        k = len(next(iter(graph))) - 1
+        op = op_kernel(graph)
+        assert op_kernel(graph) is op
+        for width in (0, 1, 5, 9):
+            full = (1 << width) - 1
+            for _ in range(30):
+                masks = [rng.getrandbits(width) if width else 0 for _ in range(k)]
+                assert op(full, *masks) == reference_op(graph, masks, width)
+    # The AND and OR of two masks, and the complement of one.
+    assert op_kernel(frozenset({(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1)}))(
+        0b1111, 0b1100, 0b1010
+    ) == 0b1000
+    assert op_kernel(frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)}))(
+        0b1111, 0b1100, 0b1010
+    ) == 0b1110
+    assert op_kernel(frozenset({(0, 1), (1, 0)}))(0b111, 0b010) == 0b101
+
+
+def sweep_preserved(rows, width, arity, allowed):
+    """The non-tuple sweep `preserved_tuples` runs on any relation."""
+    full = (1 << width) - 1
+    by_value = [(full & ~row, row) for row in rows]
+    live = [
+        (img, full)
+        for img in itertools.product((0, 1), repeat=arity)
+        if full and img not in allowed
+    ]
+    return list(_preserved(by_value, arity, (), live))
+
+
+def test_function_graphs_are_reflected_like_any_relation():
+    rng = random.Random(23)
+    eq = frozenset({(0, 0), (1, 1)})
+    graphs = [eq] + [g for k in (0, 1, 2) for g in every_function_graph(k)]
+    # Relations that are no function graph take the sweep.
+    graphs += [
+        frozenset({(0, 0), (0, 1), (1, 1)}),
+        frozenset({(0, 0, 0), (1, 1, 1)}),
+        frozenset(),
+    ]
+    for allowed in graphs:
+        arity = len(next(iter(allowed), (0, 0)))
+        for width in (0, 1, 2, 4, 7):
+            for n in (1, 3, 6):
+                # Few distinct rows, so that points share rows.
+                pool = [rng.getrandbits(width) if width else 0 for _ in range(3)]
+                rows = [rng.choice(pool) for _ in range(n)]
+                got = list(preserved_tuples(rows, width, arity, allowed))
+                assert got == sweep_preserved(rows, width, arity, allowed)
+    # No maps at all: every tuple is preserved.
+    assert list(preserved_tuples([0, 0], 0, 2, eq)) == [
+        (0, 0), (0, 1), (1, 0), (1, 1)
+    ]
+    # eq is the identity graph: points with equal rows.
+    assert list(preserved_tuples([0b01, 0b10, 0b01], 2, 2, eq)) == [
+        (0, 0), (0, 2), (1, 1), (2, 0), (2, 2)
+    ]
+
+
+def test_a_frozenset_relation_is_kept_as_given():
+    sig = Signature((Symbol("leq", 2), Symbol("eq", 2)))
+    leq = frozenset({(0, 0), (0, 1), (1, 1)})
+    given = FiniteStructure(sig, 2, {"leq": leq, "eq": [(0, 0), (1, 1)]})
+    rebuilt = FiniteStructure(
+        sig, 2, {"leq": [[0, 0], (0, 1), (1, 1)], "eq": {(0, 0), (1, 1)}}
+    )
+    assert given.rel("leq") is leq
+    assert isinstance(rebuilt.rel("leq"), frozenset)
+    assert given == rebuilt and rebuilt == given
+    assert structure_key(given) == structure_key(rebuilt)
+    assert hash(structure_key(given)) == hash(structure_key(rebuilt))
+    # As before, a structure itself is unhashable: its relations are a dict.
+    for x in (given, rebuilt):
+        with pytest.raises(TypeError):
+            hash(x)
+    other = FiniteStructure(sig, 2, {"leq": leq, "eq": [(0, 0)]})
+    assert other != given and structure_key(other) != structure_key(given)
 
 
 def test_every_exported_name_resolves():

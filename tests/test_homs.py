@@ -330,3 +330,68 @@ def test_the_constraint_memo_is_bounded_by_its_constant():
     info = homs._constraint.cache_info()
     assert info.maxsize == homs.CONSTRAINT_MEMO_SIZE
     assert info.currsize <= homs.CONSTRAINT_MEMO_SIZE
+
+
+def count_searches(monkeypatch):
+    """Record each backtrack search `enumerate_homs` runs."""
+    run = homs._backtrack
+    searches = []
+
+    def counted(structure, *rest):
+        searches.append(structure)
+        return run(structure, *rest)
+
+    monkeypatch.setattr(homs, "_backtrack", counted)
+    return searches
+
+
+def test_a_search_memo_runs_each_distinct_search_once(monkeypatch):
+    searches = count_searches(monkeypatch)
+    order = template("order")
+    posets = gen_posets(3)
+    again = gen_posets(3)
+    with homs.search_memo():
+        first = [enumerate_homs(p, order) for p in posets]
+        second = [enumerate_homs(p, order) for p in again]
+        # Equal structures built apart share one search and one hom-set.
+        assert all(a is b for a, b in zip(first, second))
+        assert len(searches) == len(posets)
+        # The brute engine never reads the memo: it is the reference.
+        brute = [enumerate_homs(p, order, method="brute") for p in posets]
+        assert [b.homs.sets for b in brute] == [a.homs.sets for a in first]
+        assert all(a is not b for a, b in zip(first, brute))
+        # Another template is another search.
+        enumerate_homs(posets[0], order)
+        enumerate_homs(posets[0], TwoTemplate(order.structure))
+        assert len(searches) == len(posets)
+    # Outside the block every call searches.
+    outside = [enumerate_homs(p, order) for p in posets]
+    assert len(searches) == 2 * len(posets)
+    assert [a.homs for a in outside] == [a.homs for a in first]
+
+
+def test_a_search_memo_keeps_no_failed_search_and_no_other_thread(monkeypatch):
+    import threading
+
+    searches = count_searches(monkeypatch)
+    free = template("pure_set")
+    x = FiniteStructure(free.signature, 12, {"eq": [(i, i) for i in range(12)]})
+    old = ACTIVE_CAPS["hom-limit"]
+    with homs.search_memo():
+        ACTIVE_CAPS["hom-limit"] = 100
+        try:
+            for _ in range(2):
+                with pytest.raises(HomLimitExceeded):
+                    enumerate_homs(x, free)
+        finally:
+            ACTIVE_CAPS["hom-limit"] = old
+        assert len(searches) == 2
+        # With the cap back, the search runs and is kept.
+        assert len(enumerate_homs(x, free).homs) == 4096
+        assert len(enumerate_homs(x, free).homs) == 4096
+        assert len(searches) == 3
+        # A new thread starts outside the block.
+        t = threading.Thread(target=enumerate_homs, args=(x, free))
+        t.start()
+        t.join()
+        assert len(searches) == 4

@@ -8,7 +8,8 @@ import pytest
 from twodual import BeaOracle, family_bea, is_halfspace, oracle_to_table, separate
 from twodual.bea import check_axiom
 from twodual.core import FiniteStructure, SetFamily, Symbol, validate
-from twodual.errors import InputError, PaschFailure
+from twodual import duality, homs
+from twodual.errors import InputError, PaschFailure, UniverseTooLarge
 from twodual.homs import enumerate_homs, is_separated
 from twodual.instances import (
     betweenness_axioms,
@@ -40,8 +41,11 @@ from twodual.instances.verifiers import (
     _is_distributive,
     _sample_unlinked_pairs,
     ordered_map,
+    run_suite,
     verify_betweenness,
     verify_hms,
+    verify_priestley,
+    verify_stone,
     verify_ultimate,
 )
 from twodual.jsonio import dumps, structure_to_json
@@ -88,6 +92,33 @@ def test_labeled_semilattice_counts():
 def test_distributive_lattice_counts():
     counts = [len(gen_distributive_lattices(n)) for n in (1, 2, 3, 4)]
     assert counts == [1, 2, 8, 60]
+
+
+def test_distributive_lattices_are_built_once_each(monkeypatch):
+    cases = [(n, "exhaustive", None) for n in (1, 2, 3, 4)]
+    cases += [(4, "random", 7), (5, "random", 2)]
+    expected = {}
+    for n, mode, seed in cases:
+        # Every poset's lattice built, then the first of each kept.
+        first = {}
+        for p in gen_posets(n, mode, seed=seed, count=30):
+            lat = down_set_lattice(p)
+            first.setdefault((lat.size, lat.rel("meet"), lat.rel("join")), lat)
+        expected[n, mode] = list(first.values())
+    build = generators._lattice_structure
+    built = []
+
+    def counted(*tables):
+        built.append(tables)
+        return build(*tables)
+
+    monkeypatch.setattr(generators, "_lattice_structure", counted)
+    for n, mode, seed in cases:
+        built.clear()
+        lats = gen_distributive_lattices(n, mode, seed=seed, count=30)
+        assert lats == expected[n, mode]
+        assert len(built) == len(lats)
+    assert len(expected[4, "exhaustive"]) == 60 < len(gen_posets(4))
 
 
 def lattice_of_order(n, below):
@@ -595,3 +626,66 @@ def test_reports_match_a_plain_per_item_map(verify, kwargs, monkeypatch):
 
     monkeypatch.setattr(verifiers, "ordered_map", plain)
     assert dumps(verify(**kwargs)) == deduplicated
+
+
+# ------------------------------------------------ one search per structure
+
+@pytest.mark.parametrize(
+    "suite, verify, calls, searches",
+    [("priestley", verify_priestley, 626, 313), ("hms", verify_hms, 456, 273)],
+)
+def test_a_suite_run_searches_each_distinct_structure_once(
+    suite, verify, calls, searches, monkeypatch
+):
+    # A poset's dual is a corpus lattice and a lattice's second dual a
+    # corpus poset, so half of priestley's searches repeat.
+    search = homs._backtrack
+    made = []
+    seen = []
+
+    def counted_search(*args):
+        made.append(args)
+        return search(*args)
+
+    enumerate = homs.enumerate_homs
+
+    def counted_call(*args, **kwargs):
+        seen.append(args)
+        return enumerate(*args, **kwargs)
+
+    monkeypatch.setattr(homs, "_backtrack", counted_search)
+    for module in (homs, duality, verifiers):
+        monkeypatch.setattr(module, "enumerate_homs", counted_call)
+    report = dumps(run_suite(suite, threads=1))
+    assert (len(seen), len(made)) == (calls, searches)
+    # Called directly, the verifier opens no memo and searches every time.
+    made.clear()
+    seen.clear()
+    assert dumps(verify()) == report
+    assert len(seen) == len(made) == calls
+
+
+def test_a_max_size_past_the_exhaustive_posets_is_refused_first(monkeypatch):
+    work = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            work.append(name)
+            raise AssertionError(f"{name} ran before the refusal")
+
+        return record
+
+    for name in (
+        "gen_posets",
+        "count_posets_brute",
+        "gen_distributive_lattices",
+        "bidual_and_evaluate",
+        "dual",
+        "ordered_map",
+    ):
+        monkeypatch.setattr(verifiers, name, spy(name))
+    for verify in (verify_priestley, verify_stone):
+        with pytest.raises(UniverseTooLarge) as info:
+            verify(max_size=5)
+        assert (info.value.cap_name, info.value.requested) == ("poset-exhaustive", 5)
+    assert work == []
