@@ -18,15 +18,21 @@ machine-dependent content.  ``--threads`` only parallelizes independent
 checks inside ``verify`` and never changes what is printed.  ``verify``
 refuses (exit 2) a ``--max-size``, ``--samples`` or ``--seed`` that its
 suite does not read.
+
+The parser is built once per process and reused by every ``main`` call;
+each call still parses into a fresh namespace.  The instance generators
+and suite verifiers load on the first ``verify`` or ``gen``, so the
+document subcommands never compile them.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
-from . import jsonio
+from . import instances, jsonio
 from .bea import BeaOracle, check_axioms, family_bea, separate
 from .caps import check_environment
 from .convexity import BiConvexity
@@ -46,18 +52,7 @@ from .errors import (
     S1Violation,
     UniverseTooLarge,
 )
-from .instances import (
-    gen_betweenness,
-    gen_biconvexity,
-    gen_distributive_lattices,
-    gen_families,
-    gen_posets,
-    gen_semilattices,
-    run_suite,
-    suite_names,
-    template,
-    template_names,
-)
+from .instances import suite_names, template, template_names
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -341,7 +336,7 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = run_suite(
+    report = instances.run_suite(
         args.suite,
         max_size=args.max_size,
         samples=args.samples,
@@ -359,19 +354,21 @@ def cmd_gen(args) -> int:
     size, seed, count = args.size, args.seed, args.count
     cls = args.gen_class
     if cls == "poset":
-        objs = gen_posets(size, "random", seed=seed, count=count)
+        objs = instances.gen_posets(size, "random", seed=seed, count=count)
     elif cls == "semilattice":
-        objs = gen_semilattices(size, "random", seed=seed, count=count)
+        objs = instances.gen_semilattices(size, "random", seed=seed, count=count)
     elif cls == "dlattice":
-        objs = gen_distributive_lattices(size, "random", seed=seed, count=count)
+        objs = instances.gen_distributive_lattices(
+            size, "random", seed=seed, count=count
+        )
     elif cls == "family":
         # Clamped so that gen_families, not the shift, refuses a size below 1.
         members = min(2 * size, 1 << min(max(size, 0), 16))
-        objs = gen_families(size, members, seed, count)
+        objs = instances.gen_families(size, members, seed, count)
     elif cls == "betweenness":
-        objs = gen_betweenness(size, "random", seed=seed, count=count)
+        objs = instances.gen_betweenness(size, "random", seed=seed, count=count)
     elif cls == "biconvexity":
-        groups = gen_biconvexity(max_n=size, seed=seed)
+        groups = instances.gen_biconvexity(max_n=size, seed=seed)
         objs = groups["plain"] + groups["symmetric"]
     else:  # argparse choices make this unreachable
         raise InputError(f"unknown class {cls!r}")
@@ -390,7 +387,11 @@ def cmd_gen(args) -> int:
 
 # -------------------------------------------------------------- parser
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and shared after it.  Every
+    default is static, so parsing leaves no state behind; callers must not
+    add to or change the returned parser."""
     parser = argparse.ArgumentParser(
         prog="twodual",
         description="Finite two-element dualities: duals, linkages, "

@@ -1,9 +1,11 @@
-"""The catalog of two-element templates.
+"""The catalog of two-element templates, and the names of the suites.
 
 Each finite-signature template is a :class:`~twodual.core.TwoTemplate`
 over the universe {0, 1}; the three ``ultimate*`` entries are linkage
 oracles realizing min ≤ max on {0, 1} directly, with progressively more
-designated constants.
+designated constants.  ``SUITES`` names each ``verify`` suite's verifier
+and the CLI values it reads, as strings only, so that the CLI can list
+the suites without importing the verifiers.
 """
 
 from __future__ import annotations
@@ -115,3 +117,38 @@ def oracle_template(name: str) -> BeaOracle:
             f"unknown oracle template {name!r}; choices: "
             + ", ".join(sorted(ORACLE_TEMPLATES))
         ) from None
+
+
+# suite -> (its verifier's name in ``verifiers``, {CLI value it reads:
+# the keyword it sets}).  ``threads`` is passed only to the verifiers
+# that split their instances across a pool.
+SUITES: dict[str, tuple[str, dict[str, str]]] = {
+    "priestley": (
+        "verify_priestley", {"max_size": "max_size", "threads": "threads"}
+    ),
+    "stone": ("verify_stone", {"max_size": "max_size", "threads": "threads"}),
+    "hms": (
+        "verify_hms",
+        {"max_size": "max_size", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
+    ),
+    "biconvex": ("verify_biconvex", {"max_size": "max_size", "seed": "seed"}),
+    "pasch": (
+        "verify_pasch",
+        {"max_size": "max_universe", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
+    ),
+    "betweenness": (
+        "verify_betweenness",
+        {"samples": "samples", "seed": "seed", "threads": "threads"},
+    ),
+    "ultimate": (
+        "verify_ultimate",
+        {"max_size": "max_size", "samples": "samples", "seed": "seed",
+         "threads": "threads"},
+    ),
+}
+
+
+def suite_names() -> list[str]:
+    return sorted(SUITES)

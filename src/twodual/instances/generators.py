@@ -22,6 +22,7 @@ builds a dual from hom masks.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -79,14 +80,18 @@ def guard_exhaustive_posets(n: int) -> None:
         )
 
 
-def _exhaustive_poset_rows(n: int):
+@functools.cache
+def _exhaustive_poset_rows(n: int) -> tuple[tuple[int, ...], ...]:
     """Every labeled poset on ``n`` points as bit rows, by filtering the
-    ``2^(n(n-1))`` off-diagonal relations; see `guard_exhaustive_posets`."""
-    if n == 0:
+    ``2^(n(n-1))`` off-diagonal relations; see `guard_exhaustive_posets`.
+    Cached, since one structures run asks for the same ``n`` up to four
+    times; the guard keeps it to at most four entries."""
+    if n < 1:
         raise EmptyUniverse("posets need at least one point")
     guard_exhaustive_posets(n)
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     diag = [1 << i for i in range(n)]
+    out = []
     for mask in range(1 << len(off_diag)):
         rows = list(diag)
         ok = True
@@ -97,7 +102,8 @@ def _exhaustive_poset_rows(n: int):
                     break
                 rows[i] |= 1 << j
         if ok and _is_transitive(rows, n):
-            yield tuple(rows)
+            out.append(tuple(rows))
+    return tuple(out)
 
 
 def _random_poset_rows(n: int, rng: SplitMix64) -> tuple[int, ...]:

@@ -54,7 +54,7 @@ from ..errors import (
 )
 from ..homs import enumerate_homs, is_separated, search_memo
 from ..rng import SplitMix64
-from .catalog import ORACLE_TEMPLATES, template, template_names
+from .catalog import ORACLE_TEMPLATES, SUITES, template, template_names
 from .generators import (
     count_posets_brute,
     gen_betweenness,
@@ -158,6 +158,11 @@ def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
         counts[n] = {"generated": len(batch), "brute": count_posets_brute(n)}
         counts[n]["agree"] = counts[n]["generated"] == counts[n]["brute"]
         posets.extend(batch)
+    # Each poset's dual is one of the corpus lattices (242 duals, 71
+    # lattices at size 4), so distributivity is checked once per distinct
+    # dual.  Two pool threads may both check a new dual; they store the
+    # same verdict.
+    distributive_of: dict = {}
 
     def check_poset(x: FiniteStructure) -> dict:
         try:
@@ -169,7 +174,12 @@ def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
                 "symbol": exc.symbol,
                 "pass": False,
             }
-        distributive = _is_distributive(dual_x.induced)
+        key = structure_key(dual_x.induced)
+        distributive = distributive_of.get(key)
+        if distributive is None:
+            distributive = distributive_of[key] = _is_distributive(
+                dual_x.induced
+            )
         ok = distributive and ev.injective and ev.surjective
         return {
             "n": x.size,
@@ -902,43 +912,6 @@ def verify_hom_equivalence(
 
 # --------------------------------------------------------------- dispatch
 
-# suite -> (its verifier's name, {CLI value it reads: the keyword it
-# sets}).  ``threads`` is passed only to the verifiers that split their
-# instances across a pool.  The verifier is looked up by name at call
-# time, so a rebinding of the module attribute (perfbench's tracer wraps
-# each verifier this way) is what runs.
-_SUITES = {
-    "priestley": (
-        "verify_priestley", {"max_size": "max_size", "threads": "threads"}
-    ),
-    "stone": ("verify_stone", {"max_size": "max_size", "threads": "threads"}),
-    "hms": (
-        "verify_hms",
-        {"max_size": "max_size", "samples": "samples", "seed": "seed",
-         "threads": "threads"},
-    ),
-    "biconvex": ("verify_biconvex", {"max_size": "max_size", "seed": "seed"}),
-    "pasch": (
-        "verify_pasch",
-        {"max_size": "max_universe", "samples": "samples", "seed": "seed",
-         "threads": "threads"},
-    ),
-    "betweenness": (
-        "verify_betweenness",
-        {"samples": "samples", "seed": "seed", "threads": "threads"},
-    ),
-    "ultimate": (
-        "verify_ultimate",
-        {"max_size": "max_size", "samples": "samples", "seed": "seed",
-         "threads": "threads"},
-    ),
-}
-
-
-def suite_names() -> list[str]:
-    return sorted(_SUITES)
-
-
 def run_suite(
     name: str,
     *,
@@ -951,10 +924,10 @@ def run_suite(
     included); the verifier's own defaults fill in the rest.  A value the
     suite does not read is refused rather than ignored."""
     try:
-        verifier_name, reads = _SUITES[name]
+        verifier_name, reads = SUITES[name]
     except KeyError:
         raise DualityError(
-            f"unknown suite {name!r}; choices: {', '.join(sorted(_SUITES))}"
+            f"unknown suite {name!r}; choices: {', '.join(sorted(SUITES))}"
         ) from None
     given = {"max_size": max_size, "samples": samples, "seed": seed}
     for option, value in given.items():
@@ -966,6 +939,9 @@ def run_suite(
         raise InputError(f"suite {name!r} needs --max-size of at least 2")
     given["threads"] = threads
     # One hom search per distinct (structure, template) within the run.
+    # The verifier is looked up by name at call time, so a rebinding of
+    # the module attribute (perfbench's tracer wraps each verifier this
+    # way) is what runs.
     with search_memo():
         return globals()[verifier_name](**{
             reads[option]: value

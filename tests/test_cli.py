@@ -418,6 +418,53 @@ def test_a_refused_caps_environment_exits_2_on_every_subcommand(chain2_bea):
     assert done.stderr == "error: DUALITY_CAPS names unknown cap 'axiom-sweep'\n"
 
 
+def test_a_reused_parser_leaks_no_state(chain2_bea, chain3_lattice, capsys,
+                                       monkeypatch):
+    # Help text wraps to the terminal width, which the subprocess must share.
+    monkeypatch.setenv("COLUMNS", "80")
+    lattice = ["--in", chain3_lattice, "--template", "bounded_lattice",
+               "--e-template", "order"]
+    calls = [
+        ["--help"],
+        ["check-axioms", "--in", chain2_bea, "--format", "json"],
+        ["frobnicate"],
+        ["dual", *lattice, "--format", "json"],
+        ["dual", "--template", "order"],
+        ["dual", "--in", chain2_bea],
+        ["dual", "--help"],
+        ["reflexivity", *lattice],
+        ["verify", "--suite", "widget"],
+        ["separate", "--in", chain2_bea, "--a", "1", "--b", "0"],
+        ["verify", "--suite", "stone", "--samples", "3"],
+        ["verify", "--suite", "stone", "--max-size", "2", "--threads", "1",
+         "--format", "json"],
+        ["gen", "--class", "poset", "--size", "2", "--count", "2"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out.encode(), out.err.encode()
+
+    first = {i: run(argv) for i, argv in enumerate(calls)}
+    # The second round runs in reverse, so each call follows other ones.
+    second = {i: run(calls[i]) for i in reversed(range(len(calls)))}
+    assert second == first
+    assert [first[i][0] for i in range(len(calls))] == [
+        0, 0, 2, 0, 2, 0, 0, 0, 2, 0, 2, 0, 0
+    ]
+    assert all(first[i][2] for i in (2, 4, 8, 10))
+
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    )
+    for i in (6, 8):
+        done = subprocess.run([sys.executable, "-m", "twodual.cli", *calls[i]],
+                              env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == first[i]
+
+
 def test_caps_exit_code(tmp_path, capsys):
     # A family over a base beyond the hard cap must exit 3, not crash.
     doc = {"kind": "family", "base": 200,

@@ -9,7 +9,12 @@ from twodual import BeaOracle, family_bea, is_halfspace, oracle_to_table, separa
 from twodual.bea import check_axiom
 from twodual.core import FiniteStructure, SetFamily, Symbol, validate
 from twodual import duality, homs
-from twodual.errors import InputError, PaschFailure, UniverseTooLarge
+from twodual.errors import (
+    EmptyUniverse,
+    InputError,
+    PaschFailure,
+    UniverseTooLarge,
+)
 from twodual.homs import enumerate_homs, is_separated
 from twodual.instances import (
     betweenness_axioms,
@@ -81,6 +86,25 @@ def test_labeled_poset_counts():
     counts = [len(gen_posets(n)) for n in (1, 2, 3, 4)]
     assert counts == [1, 3, 19, 219]  # OEIS A001035
     assert [count_posets_brute(n) for n in (1, 2, 3, 4)] == counts
+
+
+def test_exhaustive_poset_rows_are_enumerated_once_per_size():
+    rows = generators._exhaustive_poset_rows
+    rows.cache_clear()
+    for n in (1, 2, 3, 4):
+        gen_posets(n)
+        gen_semilattices(n)
+        gen_distributive_lattices(n)
+    assert rows.cache_info().misses == 4
+    for n in (1, 2, 3, 4):
+        assert type(rows(n)) is tuple
+        assert rows(n) == rows.__wrapped__(n)
+    # A refused size raises on every call and takes no entry.
+    for n, error in ((0, EmptyUniverse), (-1, EmptyUniverse), (5, UniverseTooLarge)):
+        for _ in range(2):
+            with pytest.raises(error):
+                rows(n)
+    assert rows.cache_info().currsize == 4
 
 
 def test_labeled_semilattice_counts():
@@ -168,6 +192,23 @@ def test_distributivity_verdicts():
     for n in (1, 2, 3, 4):
         for lat in gen_distributive_lattices(n):
             assert _is_distributive(lat) and reference(lat)
+
+
+def test_priestley_checks_distributivity_once_per_distinct_dual(monkeypatch):
+    checked = []
+
+    def counted(lattice):
+        checked.append(_instance_key(lattice))
+        return _is_distributive(lattice)
+
+    monkeypatch.setattr(verifiers, "_is_distributive", counted)
+    report = dumps(verify_priestley())
+    # The 242 poset duals are the 71 corpus lattices.
+    assert len(checked) == len(set(checked)) == 71
+    # The memo lives in one call: the next call checks them again.
+    checked.clear()
+    assert dumps(verify_priestley()) == report
+    assert len(checked) == 71
 
 
 def test_down_set_lattice_of_the_antichain_is_the_square():
