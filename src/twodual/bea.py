@@ -353,6 +353,15 @@ def up_closure(bitset: int, n: int) -> int:
     return bitset
 
 
+def _minimal(bitset: int, with_bit) -> int:
+    """The minimal members of an up-closed pair-index bitset: those that
+    leave it when any one of their bits is cleared."""
+    covered = 0
+    for j, ones in enumerate(with_bit):
+        covered |= (bitset & ~ones) << (1 << j)
+    return bitset & ~covered
+
+
 def pairs_of(bitset: int, n: int):
     """The pairs ``(s, t)`` whose bit ``x = s << n | t`` is set, in
     increasing ``(s, t)`` order, found through one reversed ``bin``
@@ -377,6 +386,17 @@ def _i3_witness(o: BeaOracle) -> tuple | None:
     its parent, and carry ``joins = {x : x | y ∈ T}``, which one shift and
     mask derive from the parent's; so only O(n) bitsets are live.  When
     ``joins`` is empty, no ``y`` below lies in any ``B_p``.
+
+    On an up-closed table (``i1`` holds) only minimal premises matter: if
+    ``y`` is not minimal in ``B_p``, some minimal ``y' ⊊ y`` is, and
+    ``x | y' ⊆ x | y ∉ T`` puts ``x | y'`` outside ``T`` too, so
+    ``(x, y', p)`` fails with a smaller total; likewise for ``x`` in
+    ``A_p``.  So the reported witness has ``x`` minimal in ``A_p`` and
+    ``y`` minimal in ``B_p``, and every ``y`` on its path from the root
+    is a subset of it.  The walk keeps only the minimal elements of each
+    ``A_p`` and ``B_p`` and descends only to children in ``reach``, the
+    down-closure of the minimal ``y``; on any other table ``reach`` is
+    every index and the walk is the full one.
     """
     n = o.universe
     with_bit, levels = _index_masks(n)
@@ -388,6 +408,13 @@ def _i3_witness(o: BeaOracle) -> tuple | None:
 
     firsts = [joined(table, p + n) for p in range(n)]
     seconds = [joined(table, p) for p in range(n)]
+    reach = -1
+    if o.above == table:
+        firsts = [_minimal(a, with_bit) for a in firsts]
+        seconds = [_minimal(b, with_bit) for b in seconds]
+        reach = functools.reduce(int.__or__, seconds)
+        for j, ones in enumerate(with_bit):
+            reach |= (reach & ones) >> (1 << j)
     best = None  # (total popcount, x, y, p)
 
     def visit(y: int, joins: int, below: int) -> None:
@@ -409,9 +436,11 @@ def _i3_witness(o: BeaOracle) -> tuple | None:
         if best is not None and size >= best[0]:
             return
         for j in range(below):
-            child = joined(joins, j)
-            if child:
-                visit(y | 1 << j, child, j)
+            grown = y | 1 << j
+            if reach >> grown & 1:
+                child = joined(joins, j)
+                if child:
+                    visit(grown, child, j)
 
     if table:
         visit(0, table, 2 * n)

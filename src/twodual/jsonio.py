@@ -34,7 +34,7 @@ def dumps(doc: dict) -> str:
 
 
 def _indices(mask: int) -> list[int]:
-    return sorted(bits(mask))
+    return list(bits(mask))
 
 
 def _require(doc: dict, key: str, kinds, what: str):

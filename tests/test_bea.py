@@ -397,6 +397,63 @@ def test_i4_reports_a_hull_pair_past_the_sweep_cap(monkeypatch):
     assert check_axiom(oracle, "i4").to_json()["witness"] == [[], [0, 1, 2]]
 
 
+def reference_i3_walk(oracle):
+    """The table i3 witness by the unpruned depth-first walk: every
+    premise ``y`` whose ``joins`` is nonempty is visited and tested
+    against every ``p``, whether or not the table is up-closed."""
+    n = oracle.universe
+    with_bit, levels = _index_masks(n)
+    table = oracle.linkage
+
+    def joined(bitset, j):
+        hit = bitset & with_bit[j]
+        return hit | hit >> (1 << j)
+
+    firsts = [joined(table, p + n) for p in range(n)]
+    seconds = [joined(table, p) for p in range(n)]
+    best = None
+
+    def visit(y, joins, below):
+        nonlocal best
+        size = y.bit_count()
+        for p, second in enumerate(seconds):
+            if not second >> y & 1:
+                continue
+            fails = firsts[p] & ~joins
+            top = len(levels) if best is None else best[0] - size + 1
+            for c, level in enumerate(levels[:top]):
+                hit = fails & level
+                if hit:
+                    key = (c + size, (hit & -hit).bit_length() - 1, y, p)
+                    if best is None or key < best:
+                        best = key
+                    break
+        if best is not None and size >= best[0]:
+            return
+        for j in range(below):
+            child = joined(joins, j)
+            if child:
+                visit(y | 1 << j, child, j)
+
+    if table:
+        visit(0, table, 2 * n)
+    if best is None:
+        return None
+    _, x, y, p = best
+    full = oracle.full_mask
+    return (x >> n, x & full, y >> n, y & full, 1 << p)
+
+
+def _assert_i3_matches_the_walk(oracle):
+    want = reference_i3_walk(oracle)
+    assert check_axiom(oracle, "i3") == bea.AxiomReport("i3", want is None, want)
+    return want is None
+
+
+def up_closed_table(bitset, n):
+    return BeaOracle.from_table(n, pairs_of(up_closure(bitset, n), n))
+
+
 def _assert_i3_matches_the_join(oracle):
     assert check_axiom(oracle, "i3") == _report("i3", _i3_failures(oracle))
 
@@ -454,8 +511,36 @@ def test_bitset_i3_matches_the_pair_join_on_crosscheck_tables():
     small = [o for o in tables if o.universe < 5]
     large = [o for o in tables if o.universe == 5]
     assert small and large
+    for oracle in tables:
+        # Every crosscheck table is up-closed, so it takes the pruned walk.
+        assert oracle.above == oracle.linkage
+        assert _assert_i3_matches_the_walk(oracle)
     for oracle in small + large[:1]:
         _assert_i3_matches_the_join(oracle)
+
+
+def test_pruned_i3_matches_the_full_walk_on_up_closures():
+    rng = SplitMix64(61)
+    verdicts = []
+    for n in range(5, 8):
+        _, levels = _index_masks(n)
+        tables = [up_closed_table(levels[c], n) for c in (n - 1, n, n + 1)]
+        for drawn in range(1, 9):
+            bitset = mask_of(rng.below(1 << 2 * n) for _ in range(drawn))
+            tables.append(up_closed_table(bitset, n))
+        for oracle in tables:
+            assert oracle.above == oracle.linkage
+            verdicts.append(_assert_i3_matches_the_walk(oracle))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_pruned_i3_matches_the_full_walk_on_induced_tables():
+    oracles = random_oracle_instances(40, 67, max_universe=6)
+    assert {o.universe for o in oracles} == set(range(2, 7))
+    for oracle in oracles:
+        table = oracle_to_table(oracle)
+        assert table.above == table.linkage
+        assert _assert_i3_matches_the_walk(table)
 
 
 def test_index_masks_and_the_linkage_bitset_match_their_definitions():
