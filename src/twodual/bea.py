@@ -758,27 +758,23 @@ def all_halfspaces(oracle: BeaOracle, *, method: str = "auto") -> SetFamily:
     the independent oracle the fast paths are tested against.
     """
     n = oracle.universe
-    if method == "auto":
-        method = "analytic" if oracle.halfspaces is not None else "backtrack"
-    if method == "analytic":
-        if oracle.halfspaces is None:
-            raise InputError("analytic listing needs an induced oracle")
-        out = []
-        for h in oracle.halfspaces:
-            if oracle.zero_elem is not None and h >> oracle.zero_elem & 1:
-                continue
-            if oracle.one_elem is not None and not h >> oracle.one_elem & 1:
-                continue
-            out.append(h)
-        return SetFamily(base=n, sets=tuple(sorted(set(out))))
     if method == "brute":
         guard("halfspace-brute", n, "brute-force halfspace sweep")
         sets = [u for u in range(1 << n) if is_halfspace(oracle, u)]
         return SetFamily(base=n, sets=tuple(sets))
-    if method == "backtrack":
+    if method != "auto":
+        raise InputError(f"unknown halfspace method {method!r}")
+    if oracle.halfspaces is None:
         guard("halfspace-brute", n, "backtracking halfspace search")
         return SetFamily(base=n, sets=tuple(_halfspaces_backtrack(oracle)))
-    raise InputError(f"unknown halfspace method {method!r}")
+    out = []
+    for h in oracle.halfspaces:
+        if oracle.zero_elem is not None and h >> oracle.zero_elem & 1:
+            continue
+        if oracle.one_elem is not None and not h >> oracle.one_elem & 1:
+            continue
+        out.append(h)
+    return SetFamily(base=n, sets=tuple(sorted(set(out))))
 
 
 def separate(oracle: BeaOracle, a: int, b: int) -> int:

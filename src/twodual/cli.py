@@ -35,7 +35,6 @@ import sys
 from . import instances, jsonio
 from .bea import BeaOracle, check_axioms, family_bea, separate
 from .caps import check_environment
-from .convexity import BiConvexity
 from .core import FiniteStructure, SetFamily, TwoTemplate, bits
 from .duality import bidual_and_evaluate, dual, ultimate_bidual_report, ultimate_dual
 from .errors import (

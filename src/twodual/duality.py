@@ -90,16 +90,15 @@ def dual(
     template_e: TwoTemplate,
     *,
     max_source: int | None = None,
-    max_carrier: int | None = None,
 ) -> DualStructure:
     """The dual of ``structure`` under the pair ``(D, E)``.
 
     The carrier is ``hom(structure, D)``; the ``E``-structure is the one
     it inherits as a :func:`power_substructure` of ``E^structure``, so a
     carrier not closed under ``E`` raises :class:`S1Violation`.
-    ``max_source`` / ``max_carrier`` override the ``dual-source`` /
-    ``dual-carrier`` caps for callers that knowingly dualize larger
-    instances.
+    ``max_source`` overrides the ``dual-source`` cap for callers that
+    knowingly dualize larger instances; the carrier is bounded by the
+    ``dual-carrier`` cap.
     """
     n = structure.size
     src_cap = max_source if max_source is not None else get_cap("dual-source")
@@ -107,7 +106,7 @@ def dual(
         raise UniverseTooLarge("dual-source", src_cap, n)
     carrier = enumerate_homs(structure, template_d)
     m = len(carrier.homs)
-    car_cap = max_carrier if max_carrier is not None else get_cap("dual-carrier")
+    car_cap = get_cap("dual-carrier")
     if m > car_cap:
         raise UniverseTooLarge("dual-carrier", car_cap, m)
 
@@ -174,7 +173,6 @@ def bidual_and_evaluate(
     template_e: TwoTemplate,
     *,
     max_source: int | None = None,
-    max_carrier: int | None = None,
 ) -> tuple[DualStructure, HomSet, EvalReport]:
     """Dualize twice and audit the evaluation map ``x -> eva_x``.
 
@@ -183,13 +181,7 @@ def bidual_and_evaluate(
     and every non-tuple of the source reflected by some hom), and
     surjectivity onto the second dual.
     """
-    ds = dual(
-        structure,
-        template_d,
-        template_e,
-        max_source=max_source,
-        max_carrier=max_carrier,
-    )
+    ds = dual(structure, template_d, template_e, max_source=max_source)
     bidual = enumerate_homs(ds.induced, template_e)
     rows = evaluation_rows(ds.carrier)
     members = bidual.homs.member_set
@@ -233,7 +225,6 @@ def check_semi_dual(
     instances,
     *,
     max_source: int | None = None,
-    max_carrier: int | None = None,
 ) -> PairReport:
     """Audit the semi-duality conditions over a batch of instances.
 
@@ -250,11 +241,7 @@ def check_semi_dual(
         entry: dict = {"instance": i, "size": inst.size}
         try:
             _, _, report = bidual_and_evaluate(
-                inst,
-                template_d,
-                template_e,
-                max_source=max_source,
-                max_carrier=max_carrier,
+                inst, template_d, template_e, max_source=max_source
             )
         except S1Violation as exc:
             entry["closed"] = False

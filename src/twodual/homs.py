@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import functools
+import threading
 from dataclasses import dataclass
 
 from .caps import get_cap, guard
@@ -195,7 +196,8 @@ def _seed_assignment(structure, template):
 
 
 # The backtrack searches of the current `search_memo` block, keyed by
-# (hom limit, structure, template); None outside one.
+# (hom limit, structure, template), and the lock its searches run under;
+# None outside one.
 _SEARCHES: contextvars.ContextVar = contextvars.ContextVar(
     "twodual_hom_searches", default=None
 )
@@ -207,9 +209,11 @@ def search_memo():
     each distinct (structure, template) pair once, by content, and gives
     every later call the same :class:`HomSet`.  A search that raised is
     not kept.  The memo lives in a context variable, so it is seen by the
-    thread that opened it and not by new threads, and it is dropped when
-    the block ends."""
-    token = _SEARCHES.set({})
+    thread that opened it and by code run in a copy of its context (as
+    ``ordered_map`` runs each pool item), and it is dropped when the block
+    ends.  Searches run one at a time under the memo's lock, so threads
+    sharing it never repeat a search."""
+    token = _SEARCHES.set(({}, threading.Lock()))
     try:
         yield
     finally:
@@ -263,13 +267,15 @@ def enumerate_homs(
 
     if method != "backtrack":
         raise InputError(f"unknown hom enumeration method {method!r}")
-    memo = _SEARCHES.get()
-    if memo is None:
+    searches = _SEARCHES.get()
+    if searches is None:
         return _backtrack(structure, template, seed, limit)
+    memo, lock = searches
     key = (limit, structure_key(structure), structure_key(template.structure))
-    found = memo.get(key)
-    if found is None:
-        found = memo[key] = _backtrack(structure, template, seed, limit)
+    with lock:
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _backtrack(structure, template, seed, limit)
     return found
 
 

@@ -14,6 +14,7 @@ been past the deadline.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import functools
 import time
@@ -82,7 +83,8 @@ def _instance_key(item):
 def ordered_map(fn, items, threads: int = 1) -> list:
     """``fn`` of every item, in input order, calling ``fn`` once per
     distinct item (by ``_instance_key``); each position gets its own
-    shallow copy of the entry."""
+    shallow copy of the entry.  A pool item runs in its own copy of the
+    caller's context, so it sees the caller's ``search_memo``."""
     first: dict = {}
     distinct = []
     slots = []
@@ -94,8 +96,9 @@ def ordered_map(fn, items, threads: int = 1) -> list:
     if threads <= 1 or len(distinct) <= 1:
         done = [fn(x) for x in distinct]
     else:
+        contexts = [contextvars.copy_context() for _ in distinct]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(fn, distinct))
+            done = list(pool.map(lambda c, x: c.run(fn, x), contexts, distinct))
     return [copy.copy(done[s]) for s in slots]
 
 
@@ -196,7 +199,7 @@ def verify_priestley(max_size: int = 4, *, threads: int = 1) -> dict:
     def check_lattice(lat: FiniteStructure) -> dict:
         try:
             dual_l, _, ev = bidual_and_evaluate(
-                lat, lat_t, order_t, max_source=64, max_carrier=64
+                lat, lat_t, order_t, max_source=64
             )
         except S1Violation as exc:
             return {
@@ -301,7 +304,7 @@ def verify_stone(max_size: int = 4, *, threads: int = 1) -> dict:
 
     def check_boolean(lat: FiniteStructure) -> dict:
         boolean = _is_boolean(lat)
-        dual_l = dual(lat, lat_t, order_t, max_source=64, max_carrier=64)
+        dual_l = dual(lat, lat_t, order_t, max_source=64)
         leq = dual_l.induced.rel("leq")
         discrete = all(i == j for (i, j) in leq)
         return {
@@ -378,7 +381,6 @@ def verify_hms(
     samples: int = 200,
     *,
     seed: int = 11,
-    rand_max: int = 6,
     threads: int = 1,
 ) -> dict:
     semi_t = template("semilattice")
@@ -387,16 +389,16 @@ def verify_hms(
     corpus: list[FiniteStructure] = []
     for n in range(1, max_size + 1):
         corpus.extend(gen_semilattices(n))
-    corpus.extend(gen_semilattices(rand_max, "random", seed=seed, count=samples))
+    corpus.extend(gen_semilattices(6, "random", seed=seed, count=samples))
 
     def check(x: FiniteStructure) -> dict:
         try:
             dual_x, _, ev = bidual_and_evaluate(
-                x, semi_t, semi01_t, max_source=8, max_carrier=64
+                x, semi_t, semi01_t, max_source=8
             )
             x0 = _with_zero(x)
             _, _, ev0 = bidual_and_evaluate(
-                x0, semi0_t, semi0_t, max_source=8, max_carrier=64
+                x0, semi0_t, semi0_t, max_source=8
             )
         except S1Violation as exc:
             return {
@@ -503,17 +505,13 @@ def _convex_masks(x: FiniteStructure) -> set[int]:
 
 
 def verify_betweenness(
-    minimal_sizes=(3, 4, 5),
-    samples: int = 30,
-    *,
-    seed: int = 7,
-    threads: int = 1,
+    samples: int = 30, *, seed: int = 7, threads: int = 1
 ) -> dict:
     s0_t = template("betweenness_s0")
     nat_t = template("natural_betweenness")
 
     minimal_entries = []
-    for n in minimal_sizes:
+    for n in (3, 4, 5):
         x = minimal_betweenness(n)
         homset = enumerate_homs(x, s0_t)
         convex = _convex_masks(x)
@@ -709,8 +707,6 @@ def verify_pasch(
     *,
     seed: int = 5,
     max_universe: int = 8,
-    pairs_per: int = 50,
-    fixtures: int = 20,
     threads: int = 1,
 ) -> dict:
     oracles = random_oracle_instances(samples, seed, max_universe=max_universe)
@@ -720,7 +716,7 @@ def verify_pasch(
     def check(args) -> dict:
         oracle, pseed = args
         n = oracle.universe
-        found = _sample_unlinked_pairs(oracle, SplitMix64(pseed), pairs_per)
+        found = _sample_unlinked_pairs(oracle, SplitMix64(pseed), 50)
         bad = None
         for (s, t) in found:
             try:
@@ -743,7 +739,7 @@ def verify_pasch(
     fixture_entries = []
     fx_rng = SplitMix64(seed + 2)
     made = 0
-    while made < fixtures:
+    while made < 20:
         base = random_oracle_instances(
             1, fx_rng.next_u64(), max_universe=min(max_universe, 6)
         )[0]
@@ -873,18 +869,15 @@ def verify_biconvex(max_size: int = 6, *, seed: int = 2026) -> dict:
 
 # ------------------------------------------------------------ equivalence
 
-def verify_hom_equivalence(
-    max_size: int = 4, count: int = 10, *, seed: int = 17
-) -> dict:
+def verify_hom_equivalence() -> dict:
     """Hom-sets versus halfspaces of the hom-induced linkage, across every
-    finite-signature template in the catalog."""
+    finite-signature template in the catalog: ten separated instances of
+    at most four points each."""
     names = [n for n in template_names() if n.lower() not in ORACLE_TEMPLATES]
     sections = []
-    rng = SplitMix64(seed)
+    rng = SplitMix64(17)
     for name in names:
-        instances = gen_separated_instances(
-            name, count, rng.next_u64(), max_size=max_size
-        )
+        instances = gen_separated_instances(name, 10, rng.next_u64(), max_size=4)
 
         def check(x, _name=name) -> dict:
             rep = hom_equivalence(x, template(_name))

@@ -64,7 +64,7 @@ def test_criterion_02_stone_antichains():
 
 def test_criterion_03_hms_semilattices():
     t0 = time.monotonic()
-    rep = verify_hms(4, 200, rand_max=6)
+    rep = verify_hms(4, 200)
     elapsed = time.monotonic() - t0
     assert rep["count"] == 88 + 200  # exhaustive ≤ 4 plus seeded randoms
     for entry in rep["entries"]:
@@ -99,7 +99,7 @@ def test_criterion_04_every_dual_hom_is_an_evaluation():
 
 
 def test_criterion_05_separation_algorithm():
-    rep = verify_pasch(500, pairs_per=50, fixtures=20, max_universe=8)
+    rep = verify_pasch(500, max_universe=8)
     assert rep["count"] == 500
     assert all(e["failure"] is None and e["pass"] for e in rep["entries"])
     assert len(rep["fixtures"]) == 20
@@ -111,7 +111,7 @@ def test_criterion_05_separation_algorithm():
 
 
 def test_criterion_06_homs_equal_halfspaces():
-    rep = verify_hom_equivalence(max_size=4)
+    rep = verify_hom_equivalence()
     assert len(rep["templates"]) == 9
     for section in rep["templates"]:
         assert all(e["equal"] for e in section["entries"])
@@ -198,7 +198,7 @@ def test_criterion_09_backtrack_equals_brute():
 
 
 def test_criterion_10_betweenness_halfspace_counts():
-    rep = verify_betweenness(minimal_sizes=(3, 4, 5))
+    rep = verify_betweenness()
     for entry in rep["minimal"]:
         assert entry["halfspaces"] == entry["n"] + 2
         assert entry["separated"]

@@ -230,10 +230,10 @@ def test_halfspace_methods_agree_on_small_oracles():
     for fam in small_families(3, 3):
         o = family_bea(fam)
         brute = all_halfspaces(o, method="brute").sets
-        analytic = all_halfspaces(o, method="analytic").sets
+        analytic = all_halfspaces(o).sets
         assert brute == analytic, fam.sets
         table = oracle_to_table(o)
-        backtrack = all_halfspaces(table, method="backtrack").sets
+        backtrack = all_halfspaces(table).sets
         assert brute == backtrack, fam.sets
 
 
@@ -825,7 +825,7 @@ def test_table_backtrack_and_i1_scan_pairs_past_the_sweep_cap(monkeypatch):
     monkeypatch.setattr(BeaOracle, "above", property(refused))
     for oracle, (reports, outcomes) in zip(tables, within):
         brute = all_halfspaces(oracle, method="brute").sets
-        assert all_halfspaces(oracle, method="backtrack").sets == brute
+        assert all_halfspaces(oracle).sets == brute
         assert check_axiom(oracle, "i1") == _report("i1", _i1_failures(oracle))
         assert check_axioms(oracle, axioms(oracle)) == reports
         assert separations(oracle) == outcomes

@@ -231,8 +231,8 @@ def test_verify_stone_suite(capsys):
 
 @pytest.mark.parametrize("suite", ["priestley", "hms"])
 def test_verify_gives_the_same_bytes_on_one_or_two_threads(suite, capsys):
-    # Pool threads start outside the run's hom-search memo and search
-    # again; the report must not tell.
+    # Pool threads share the run's hom-search memo; the report must not
+    # tell how many threads ran it.
     out = []
     for threads in ("1", "2"):
         argv = ["verify", "--suite", suite, "--format", "json",
@@ -253,6 +253,15 @@ def test_verify_seed_zero_is_not_the_default_seed(capsys):
     default = report()
     assert report("--seed", "0") != default
     assert report("--seed", "11") == default
+
+
+def test_a_lowered_dual_carrier_cap_reaches_the_suites(monkeypatch, capsys):
+    # hms dualizes through the caps, with no carrier bound of its own.
+    monkeypatch.setitem(caps.ACTIVE_CAPS, "dual-carrier", 3)
+    code = main(["verify", "--suite", "hms", "--max-size", "3", "--samples",
+                 "5", "--threads", "1"])
+    assert code == 3
+    assert "dual-carrier" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite", ["priestley", "stone", "hms"])

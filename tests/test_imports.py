@@ -1,7 +1,7 @@
 """Module boundaries: no module of the package imports a private
-(underscore-prefixed) name from another of its modules (tests may), and
-importing the CLI leaves the suites unloaded until a ``verify`` or ``gen``
-needs them."""
+(underscore-prefixed) name from another of its modules (tests may) or a
+name it never uses, and importing the CLI leaves the suites unloaded until
+a ``verify`` or ``gen`` needs them."""
 
 import ast
 import json
@@ -60,6 +60,56 @@ def test_no_module_imports_a_private_name_of_another():
     for path in files:
         where = str(path.relative_to(SRC.parent))
         found += private_imports(path.read_text(encoding="utf-8"), where)
+    assert found == []
+
+
+def unused_imports(source: str, where: str) -> list[str]:
+    """``where:line name`` for each name that ``source`` imports and never
+    reads.  A name spelled out in the module's ``__all__`` is a re-export
+    and counts as read; ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            read |= {
+                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
+            }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [
+                f"{where}:{node.lineno} {bound}"
+                for alias in node.names
+                if (bound := alias.asname or alias.name.split(".")[0]) not in read
+            ]
+    return out
+
+
+def test_the_check_sees_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "from .bea import BeaOracle, separate as split\n"
+        "from .core import bits\n"
+        "__all__ = ['bits', *OTHERS]\n"
+        "def f(x: BeaOracle):\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source, "m.py") == ["m.py:2 sys", "m.py:3 split"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 15
+    found = []
+    for path in files:
+        where = str(path.relative_to(SRC.parent))
+        found += unused_imports(path.read_text(encoding="utf-8"), where)
     assert found == []
 
 

@@ -706,6 +706,25 @@ def test_a_suite_run_searches_each_distinct_structure_once(
     assert len(seen) == len(made) == calls
 
 
+@pytest.mark.parametrize("suite, searches", [("priestley", 313), ("hms", 273)])
+def test_pool_threads_share_the_runs_search_memo(suite, searches, monkeypatch):
+    import threading
+
+    search = homs._backtrack
+    threads = []
+
+    def counted_search(*args):
+        threads.append(threading.get_ident())
+        return search(*args)
+
+    monkeypatch.setattr(homs, "_backtrack", counted_search)
+    run_suite(suite, threads=2)
+    # The searches ran on the pool's threads, each distinct one once, as
+    # many as at threads=1.
+    assert threading.get_ident() not in threads
+    assert len(threads) == searches
+
+
 def test_a_max_size_past_the_exhaustive_posets_is_refused_first(monkeypatch):
     work = []
 
