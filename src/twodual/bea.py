@@ -45,6 +45,12 @@ the ``2n`` index bits, which adds every pair above a member; an oracle
 keeps its own up-closure as :attr:`BeaOracle.above`, and its
 :func:`singleton_links`, read off its linkage.  The package builds
 these only within the ``pair-axiom-sweep`` cap.
+
+Per-subset masks become selectors through :func:`point_columns`, which
+maps each bit to the indices whose mask has it and decodes each distinct
+mask once; hull and link lists repeat a few masks across all ``2^n``
+subsets.  :func:`table_from_linkage` is the one way to build a table from
+a bitset, and the table keeps that bitset as its linkage.
 """
 
 from __future__ import annotations
@@ -298,19 +304,36 @@ def _index_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(with_bit), tuple(levels)
 
 
+def point_columns(values) -> list[int]:
+    """For each bit ``v`` of the values, the mask of the indices ``m``
+    whose ``values[m]`` has bit ``v``: the list is as long as the widest
+    value.  The indices are grouped by value first, so each distinct
+    value is decoded once."""
+    members: dict[int, int] = {}
+    for m, value in enumerate(values):
+        members[value] = members.get(value, 0) | 1 << m
+    cols = [0] * max(members, default=0).bit_length()
+    for value, group in members.items():
+        for v in bits(value):
+            cols[v] |= group
+    return cols
+
+
 def transversal_bits(n: int, left, right) -> int:
     """The pair-index bitset with bit ``x = s << n | t`` set iff
     ``left[s] & right[t]``, for masks ``left`` and ``right`` per subset.
-    Each value bit gets the column of the ``t`` whose ``right[t]`` has it;
-    row ``s`` is the OR of the columns of ``left[s]``."""
-    cols: dict[int, int] = {}
-    for t, value in enumerate(right):
-        for v in bits(value):
-            cols[v] = cols.get(v, 0) | 1 << t
-    rows = [0] * len(left)
-    for s, value in enumerate(left):
-        for v in bits(value):
-            rows[s] |= cols.get(v, 0)
+    Each value bit gets the column of the ``t`` whose ``right[t]`` has it
+    (:func:`point_columns`); row ``s`` is the OR of the columns of
+    ``left[s]``, built once per distinct value."""
+    cols = point_columns(right)
+    known = (1 << len(cols)) - 1
+    row_of = {}
+    for value in set(left):
+        row = 0
+        for v in bits(value & known):
+            row |= cols[v]
+        row_of[value] = row
+    rows = [row_of[value] for value in left]
     width = 1 << n
     while len(rows) > 1:
         rows = [a | b << width for a, b in zip(rows[::2], rows[1::2])]
@@ -365,13 +388,21 @@ def _minimal(bitset: int, with_bit) -> int:
 def pairs_of(bitset: int, n: int):
     """The pairs ``(s, t)`` whose bit ``x = s << n | t`` is set, in
     increasing ``(s, t)`` order, found through one reversed ``bin``
-    string, so in time linear in the size of the bitset."""
-    full = (1 << n) - 1
+    string, so in time linear in the size of the bitset.  Each distinct
+    row of ``2^n`` digits is searched once: the rows of a transversal
+    table repeat with its hulls."""
     digits = bin(bitset)[:1:-1]
-    x = digits.find("1")
-    while x >= 0:
-        yield x >> n, x & full
-        x = digits.find("1", x + 1)
+    found: dict[str, list[int]] = {}
+    for s in range(-(-len(digits) >> n)):
+        row = digits[s << n:(s + 1) << n]
+        ts = found.get(row)
+        if ts is None:
+            ts = found[row] = []
+            t = row.find("1")
+            while t >= 0:
+                ts.append(t)
+                t = row.find("1", t + 1)
+        yield from zip(itertools.repeat(s), ts)
 
 
 def _i3_witness(o: BeaOracle) -> tuple | None:
@@ -852,9 +883,18 @@ def separate(oracle: BeaOracle, a: int, b: int) -> int:
     return inside
 
 
+def table_from_linkage(n: int, bitset: int, *, zero, one) -> BeaOracle:
+    """The table oracle of a pair-index bitset over ``n`` points, which it
+    keeps as its :attr:`BeaOracle.linkage`."""
+    table = BeaOracle.from_table(n, pairs_of(bitset, n), zero=zero, one=one)
+    table._bitsets["linkage"] = bitset
+    return table
+
+
 def oracle_to_table(oracle: BeaOracle) -> BeaOracle:
     """Materialize any oracle as a table, read off its linkage."""
     n = oracle.universe
     guard("pair-axiom-sweep", n, "pair-table materialization")
-    pairs = pairs_of(oracle.linkage, n)
-    return BeaOracle.from_table(n, pairs, zero=oracle.zero_elem, one=oracle.one_elem)
+    return table_from_linkage(
+        n, oracle.linkage, zero=oracle.zero_elem, one=oracle.one_elem
+    )

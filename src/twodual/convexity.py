@@ -25,9 +25,11 @@ from .bea import (
     check_axioms,
     column_bits,
     pairs_of,
+    point_columns,
     require_axioms,
     row_bits,
     singleton_links,
+    table_from_linkage,
     transversal_bits,
 )
 from .caps import get_cap, guard
@@ -155,9 +157,8 @@ def bea_from_biconvexity(space: BiConvexity, *, force: bool = False) -> BeaOracl
     guard("pair-axiom-sweep", n, "transversal table")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
-    pairs = pairs_of(transversal_bits(n, hu, hl), n)
-    return BeaOracle.from_table(
-        n, pairs, zero=space.zero_elem, one=space.one_elem
+    return table_from_linkage(
+        n, transversal_bits(n, hu, hl), zero=space.zero_elem, one=space.one_elem
     )
 
 
@@ -186,26 +187,32 @@ def check_pasch_convex(space: BiConvexity) -> PaschConvexReport:
     :mod:`twodual.bea`) per ``(q, r)``: the premise is the OR over ``p``,
     and the conclusion the OR over the points ``v`` of both hulls, of a
     row selector (``v ∈ hu[a0 ∪ {i}]``) AND a column selector
-    (``v ∈ hl[b1 ∪ {i}]``).  The first failing pair is the lowest bit of
-    the failures; its first ``(p, q, r)`` is then found point by point,
-    so the witness is the first in ``(a0, b1, p, q, r)`` order.
+    (``v ∈ hl[b1 ∪ {i}]``).  The selectors come from
+    :func:`~twodual.bea.point_columns` of each hull list, so each distinct
+    hull is decoded once, and one shift per ``(i, v)`` moves the subsets
+    missing ``i`` onto ``a0 ∪ {i}``.  The first failing pair is the lowest
+    bit of the failures; its first ``(p, q, r)`` is then found point by
+    point, so the witness is the first in ``(a0, b1, p, q, r)`` order.
     """
     n = space.universe
     guard("pasch-sweep", n, "hull-transit sweep")
     hu = [space.hull_upper(m) for m in range(1 << n)]
     hl = [space.hull_lower(m) for m in range(1 << n)]
+    # ups[v]: the m with v ∈ hu[m]; lows[v]: those with v ∈ hl[m];
+    # holds[i]: those with i ∈ m.  Each has n entries, as the hulls of the
+    # full set are full.
+    ups, lows = point_columns(hu), point_columns(hl)
+    holds = point_columns(range(1 << n))
+
+    def through(members: int, i: int) -> int:
+        """The m with ``m ∪ {i}`` in ``members``."""
+        hit = members & holds[i]
+        return hit | hit >> (1 << i)
+
     # rows[i][v]: the a0 with v ∈ hu[a0 ∪ {i}]; cols[i][v]: the b1 with
     # v ∈ hl[b1 ∪ {i}].
-    rows = [[0] * n for _ in range(n)]
-    cols = [[0] * n for _ in range(n)]
-    for m in range(1 << n):
-        for i in range(n):
-            for v in bits(hu[m | 1 << i]):
-                rows[i][v] |= 1 << m
-            for v in bits(hl[m | 1 << i]):
-                cols[i][v] |= 1 << m
-    rows = [[row_bits(n, r) for r in line] for line in rows]
-    cols = [[column_bits(n, c) for c in line] for line in cols]
+    rows = [[row_bits(n, through(u, i)) for u in ups] for i in range(n)]
+    cols = [[column_bits(n, through(c, i)) for c in lows] for i in range(n)]
     fail = 0
     for q in range(n):
         for r in range(n):

@@ -223,8 +223,6 @@ def check_semi_dual(
     template_d: TwoTemplate,
     template_e: TwoTemplate,
     instances,
-    *,
-    max_source: int | None = None,
 ) -> PairReport:
     """Audit the semi-duality conditions over a batch of instances.
 
@@ -240,9 +238,7 @@ def check_semi_dual(
             raise NotSeparated(sep)
         entry: dict = {"instance": i, "size": inst.size}
         try:
-            _, _, report = bidual_and_evaluate(
-                inst, template_d, template_e, max_source=max_source
-            )
+            _, _, report = bidual_and_evaluate(inst, template_d, template_e)
         except S1Violation as exc:
             entry["closed"] = False
             entry["witness"] = {"symbol": exc.symbol, "args": list(exc.point)}

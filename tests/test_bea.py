@@ -37,6 +37,7 @@ from twodual.bea import (
     _report,
     column_bits,
     pairs_of,
+    point_columns,
     row_bits,
     singleton_links,
     transversal_bits,
@@ -596,6 +597,49 @@ def test_transversal_bits_and_pairs_of_match_the_double_loop():
                 assert list(pairs_of(bitset, n)) == want
 
 
+def test_point_columns_and_transversal_bits_match_the_double_loop_on_repeats():
+    # Hull lists repeat a few masks across all 2^n subsets, and so the
+    # rows of their tables repeat; so do these.
+    rng = SplitMix64(97)
+    for n in range(1, 7):
+        size = 1 << n
+        zeros = [0] * size
+        for width in (1, n, 9):
+            for pool_size in (2, 3, 4):
+                pool = [rng.mask(width) for _ in range(pool_size)]
+                left = [pool[rng.below(pool_size)] for _ in range(size)]
+                right = [pool[rng.below(pool_size)] for _ in range(size)]
+                for values in (left, right, zeros):
+                    cols = point_columns(values)
+                    assert len(cols) == max(values).bit_length()
+                    assert cols == [
+                        mask_of(m for m in range(size) if values[m] >> v & 1)
+                        for v in range(len(cols))
+                    ]
+                for lhs, rhs in ((left, right), (zeros, right), (left, zeros)):
+                    want = reference_pairs(n, lambda s, t: lhs[s] & rhs[t])
+                    bitset = transversal_bits(n, lhs, rhs)
+                    assert bitset == mask_of(s << n | t for s, t in want)
+                    assert list(pairs_of(bitset, n)) == want
+
+
+def test_transversal_bits_decodes_each_distinct_value_once(monkeypatch):
+    decoded = []
+
+    def counted(mask):
+        decoded.append(mask)
+        return bits(mask)
+
+    monkeypatch.setattr(bea, "bits", counted)
+    rng = SplitMix64(101)
+    n = 5
+    pool = [rng.mask(n) for _ in range(4)]
+    left = [pool[rng.below(4)] for _ in range(1 << n)]
+    right = [pool[rng.below(4)] for _ in range(1 << n)]
+    transversal_bits(n, left, right)
+    assert sorted(decoded) == sorted([*set(left), *set(right)])
+
+
 def reference_singleton_links(oracle):
     """The singleton links by their definition, one query per subset and
     point: the points ``p`` with ``s ⋈ {p}``, and those with ``{p} ⋈ s``."""
@@ -640,6 +684,26 @@ def test_singleton_links_are_built_once_per_oracle_without_queries(monkeypatch):
         biconvexity_from_bea(oracle, skip_axioms=True)
         assert oracle._bitsets["links"] is links
         assert singleton_links(oracle) is links
+
+
+def test_the_transversal_table_keeps_its_bitset_and_equals_a_fresh_table():
+    corpus = gen_biconvexity()
+    spaces = corpus["plain"] + corpus["symmetric"]
+    assert len(spaces) > 10
+    for space in spaces:
+        oracle = bea_from_biconvexity(space, force=True)
+        n = space.universe
+        pairs = reference_pairs(
+            n, lambda s, t: space.hull_upper(s) & space.hull_lower(t)
+        )
+        fresh = BeaOracle.from_table(
+            n, pairs, zero=space.zero_elem, one=space.one_elem
+        )
+        assert set(oracle._bitsets) == {"linkage"}
+        assert oracle._bitsets["linkage"] == fresh.linkage
+        assert oracle == fresh and fresh == oracle
+        assert hash(oracle) == hash(fresh) and repr(oracle) == repr(fresh)
+        assert dumps(bea_to_json(oracle)) == dumps(bea_to_json(fresh))
 
 
 def test_i4_sweep_and_oracle_to_table_match_the_query_loops():
@@ -852,7 +916,7 @@ def test_a_table_builds_its_up_closure_once_and_stays_equal_to_a_fresh_one(
     assert separate(used, a, b) == reference_separate(fresh, a, b)
     assert calls == [4]
     assert set(used._bitsets) == {"linkage", "above", "links"}
-    assert not fresh._bitsets
+    assert set(fresh._bitsets) == {"linkage"}
     assert used == fresh and fresh == used
     assert hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert dumps(bea_to_json(used)) == dumps(bea_to_json(fresh))
