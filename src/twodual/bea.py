@@ -46,11 +46,13 @@ keeps its own up-closure as :attr:`BeaOracle.above`, and its
 :func:`singleton_links`, read off its linkage.  The package builds
 these only within the ``pair-axiom-sweep`` cap.
 
-Per-subset masks become selectors through :func:`point_columns`, which
-maps each bit to the indices whose mask has it and decodes each distinct
-mask once; hull and link lists repeat a few masks across all ``2^n``
-subsets.  :func:`table_from_linkage` is the one way to build a table from
-a bitset, and the table keeps that bitset as its linkage.
+Per-subset masks become selectors through
+:func:`~twodual.core.point_columns`, the package's one transpose of a
+mask list, which maps each bit to the indices whose mask has it and
+decodes each distinct mask once; hull and link lists repeat a few masks
+across all ``2^n`` subsets.  :func:`table_from_linkage` is the one way
+to build a table from a bitset, and the table keeps that bitset as its
+linkage.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .caps import get_cap, guard
-from .core import SetFamily, bits, transpose
+from .core import SetFamily, bits, point_columns
 from .errors import (
     AxiomsFail,
     DuplicateComplement,
@@ -181,7 +183,7 @@ def family_bea(family: SetFamily) -> BeaOracle:
 
     The universe is the family's member *indices*; ``S ⋈ T`` iff the
     intersection over ``S`` is covered by the union over ``T``.  The point
-    rows of the family (deduplicated by :func:`~twodual.core.transpose`)
+    rows of the family (:attr:`~twodual.core.SetFamily.point_rows`)
     realize this as an induced oracle: a row witnesses a non-linked pair
     exactly when some base point lies in every ``S``-member and no
     ``T``-member.  Membership of the empty / full set, when flagged as
@@ -189,10 +191,11 @@ def family_bea(family: SetFamily) -> BeaOracle:
     """
     if not family.sets:
         raise EmptyUniverse("a family with no members induces no oracle")
-    rows = transpose(family).family.sets
     zero = family.index[0] if family.has_empty_as_zero else None
     one = family.index[family.full_mask] if family.has_base_as_one else None
-    return BeaOracle.from_halfspaces(len(family.sets), rows, zero=zero, one=one)
+    return BeaOracle.from_halfspaces(
+        len(family.sets), family.point_rows, zero=zero, one=one
+    )
 
 
 @dataclass(frozen=True)
@@ -304,27 +307,12 @@ def _index_masks(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(with_bit), tuple(levels)
 
 
-def point_columns(values) -> list[int]:
-    """For each bit ``v`` of the values, the mask of the indices ``m``
-    whose ``values[m]`` has bit ``v``: the list is as long as the widest
-    value.  The indices are grouped by value first, so each distinct
-    value is decoded once."""
-    members: dict[int, int] = {}
-    for m, value in enumerate(values):
-        members[value] = members.get(value, 0) | 1 << m
-    cols = [0] * max(members, default=0).bit_length()
-    for value, group in members.items():
-        for v in bits(value):
-            cols[v] |= group
-    return cols
-
-
 def transversal_bits(n: int, left, right) -> int:
     """The pair-index bitset with bit ``x = s << n | t`` set iff
     ``left[s] & right[t]``, for masks ``left`` and ``right`` per subset.
     Each value bit gets the column of the ``t`` whose ``right[t]`` has it
-    (:func:`point_columns`); row ``s`` is the OR of the columns of
-    ``left[s]``, built once per distinct value."""
+    (:func:`~twodual.core.point_columns`); row ``s`` is the OR of the
+    columns of ``left[s]``, built once per distinct value."""
     cols = point_columns(right)
     known = (1 << len(cols)) - 1
     row_of = {}

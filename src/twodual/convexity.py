@@ -25,7 +25,6 @@ from .bea import (
     check_axioms,
     column_bits,
     pairs_of,
-    point_columns,
     require_axioms,
     row_bits,
     singleton_links,
@@ -33,7 +32,7 @@ from .bea import (
     transversal_bits,
 )
 from .caps import get_cap, guard
-from .core import SetFamily, bits, subset_images
+from .core import SetFamily, bits, point_columns, subset_images
 from .errors import (
     DuplicateComplement,
     InputError,
@@ -188,7 +187,7 @@ def check_pasch_convex(space: BiConvexity) -> PaschConvexReport:
     and the conclusion the OR over the points ``v`` of both hulls, of a
     row selector (``v ∈ hu[a0 ∪ {i}]``) AND a column selector
     (``v ∈ hl[b1 ∪ {i}]``).  The selectors come from
-    :func:`~twodual.bea.point_columns` of each hull list, so each distinct
+    :func:`~twodual.core.point_columns` of each hull list, so each distinct
     hull is decoded once, and one shift per ``(i, v)`` moves the subsets
     missing ``i`` onto ``a0 ∪ {i}``.  The first failing pair is the lowest
     bit of the failures; its first ``(p, q, r)`` is then found point by

@@ -8,6 +8,9 @@ Conventions used throughout the package:
 * Relations are sets of index tuples; operations are stored as their
   graphs, i.e. ``(arg_1, .., arg_k, result)`` tuples of a symbol flagged
   ``functional``.
+* A list of masks is transposed by :func:`point_columns` alone.  A
+  :class:`SetFamily` keeps its transpose as :attr:`SetFamily.point_rows`;
+  for a hom family, row ``x`` is the evaluation ``eva_x``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,21 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def point_columns(values) -> list[int]:
+    """For each bit ``v`` of the values, the mask of the indices ``m``
+    whose ``values[m]`` has bit ``v``: the list is as long as the widest
+    value.  The indices are grouped by value first, so each distinct
+    value is decoded once."""
+    members: dict[int, int] = {}
+    for m, value in enumerate(values):
+        members[value] = members.get(value, 0) | 1 << m
+    cols = [0] * max(members, default=0).bit_length()
+    for value, group in members.items():
+        for v in bits(value):
+            cols[v] |= group
+    return cols
 
 
 def subset_images(n: int, point_masks) -> list[int]:
@@ -281,14 +299,6 @@ class TwoTemplate:
     def signature(self) -> Signature:
         return self.structure.signature
 
-    @property
-    def has_zero(self) -> bool:
-        return any(v == 0 for v in self.structure.constants.values())
-
-    @property
-    def has_one(self) -> bool:
-        return any(v == 1 for v in self.structure.constants.values())
-
 
 def validate(structure: FiniteStructure) -> list[str]:
     """Check well-formedness; returns a list of human-readable violations."""
@@ -413,14 +423,12 @@ class SetFamily:
     def index(self) -> dict:
         return {m: i for i, m in enumerate(self.sets)}
 
-    def point_row(self, x: int) -> int:
-        """Mask (over member indices) of the members containing point ``x``."""
-        row = 0
-        probe = 1 << x
-        for i, m in enumerate(self.sets):
-            if m & probe:
-                row |= 1 << i
-        return row
+    @cached_property
+    def point_rows(self) -> tuple[int, ...]:
+        """For each point ``x`` of the base, the mask (over member indices)
+        of the members containing ``x``."""
+        rows = point_columns(self.sets)
+        return tuple(rows) + (0,) * (self.base - len(rows))
 
 
 @dataclass(frozen=True)
@@ -445,8 +453,7 @@ def transpose(family: SetFamily) -> Transposed:
     rows = []
     seen = {}
     row_of_point = []
-    for x in range(family.base):
-        row = family.point_row(x)
+    for row in family.point_rows:
         if row not in seen:
             seen[row] = len(rows)
             rows.append(row)

@@ -164,7 +164,7 @@ def power_substructure(
 
 def evaluation_rows(carrier: HomSet) -> list[int]:
     """``eva_x`` for every source point, as masks over carrier indices."""
-    return [carrier.homs.point_row(x) for x in range(carrier.domain_size)]
+    return list(carrier.homs.point_rows)
 
 
 def bidual_and_evaluate(
@@ -360,7 +360,7 @@ def ultimate_bidual_report(oracle: BeaOracle, ud: UltimateDual) -> dict:
     """
     n = oracle.universe
     second = all_halfspaces(ud.oracle)
-    rows = [ud.carrier.point_row(x) for x in range(n)]
+    rows = ud.carrier.point_rows
     members = second.member_set
     for x, row in enumerate(rows):
         if row not in members:

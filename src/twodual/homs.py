@@ -361,7 +361,7 @@ def is_separated(
     hs = homset or enumerate_homs(structure, template)
     fam = hs.homs
     n = structure.size
-    rows = [fam.point_row(x) for x in range(n)]
+    rows = fam.point_rows
     clashes = collisions(rows)
     unreflected = []
     guard("induced-product", max(n, 2) ** max(

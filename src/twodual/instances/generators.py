@@ -28,7 +28,7 @@ import math
 
 from ..bea import BeaOracle, family_bea
 from ..convexity import BiConvexity, biconvexity_from_bea
-from ..core import FiniteStructure, SetFamily, bits, op_kernel
+from ..core import FiniteStructure, SetFamily, bits, op_kernel, point_columns
 from ..duality import power_substructure
 from ..errors import EmptyUniverse, InputError, UniverseTooLarge
 from ..rng import SplitMix64
@@ -168,20 +168,11 @@ def count_posets_brute(n: int) -> int:
 
 # ----------------------------------------------------------- semilattices
 
-def _below_rows(rows) -> list[int]:
-    """The transposed rows of a poset: bit ``i`` of ``below[j]`` iff
-    i ≤ j, given ``rows[i]`` with bit j iff i ≤ j."""
-    below = [0] * len(rows)
-    for i, row in enumerate(rows):
-        for j in bits(row):
-            below[j] |= 1 << i
-    return below
-
-
 def _closed_sets(rows) -> list[int]:
     """The masks ``m``, in increasing order, that hold ``rows[i]`` for
     every ``i`` in ``m``: the up-sets for the poset's ``leq_rows``, the
-    down-sets for its ``_below_rows``."""
+    down-sets for their :func:`~twodual.core.point_columns`, which
+    reflexivity makes as long as ``rows``."""
     return [
         m
         for m in range(1 << len(rows))
@@ -193,7 +184,7 @@ def _glb_table(rows: tuple[int, ...]) -> list[list[int]] | None:
     """Binary greatest lower bounds of a poset, or None if some pair
     lacks one.  ``rows[i]`` has bit j iff i ≤ j."""
     n = len(rows)
-    below = _below_rows(rows)
+    below = point_columns(rows)
     table: list[list[int]] = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -297,7 +288,7 @@ def _down_set_tables(rows) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The meet and join tables of the down-set lattice of a poset's
     ``leq_rows``, flat: entry ``a * size + b`` is ``a ∧ b`` (``a ∨ b``),
     the down-sets indexed in increasing mask order."""
-    downs = _closed_sets(_below_rows(rows))
+    downs = _closed_sets(point_columns(rows))
     index = {m: k for k, m in enumerate(downs)}
     meet = tuple(index[a & b] for a in downs for b in downs)
     join = tuple(index[a | b] for a in downs for b in downs)
@@ -478,7 +469,7 @@ def _poset_space(
     when the poset is not bounded."""
     rows = leq_rows(poset)
     n = poset.size
-    below = _below_rows(rows)
+    below = point_columns(rows)
     downs = _closed_sets(below)
     ups = _closed_sets(rows)
     zero = one = None

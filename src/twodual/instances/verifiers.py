@@ -274,7 +274,7 @@ def verify_stone(max_size: int = 4, *, threads: int = 1) -> dict:
         x = _antichain(n)
         dual_x, _, ev = bidual_and_evaluate(x, pure_t, bool_t)
         masks = dual_x.carrier.homs.sets
-        index = {m: i for i, m in enumerate(masks)}
+        index = dual_x.carrier.homs.index
         full = (1 << n) - 1
         neg = dual_x.induced.op("neg")
         complement_ok = all(
@@ -342,34 +342,33 @@ def _with_zero(x: FiniteStructure) -> FiniteStructure:
     )
 
 
-def _principal_filters_ok(x: FiniteStructure, masks) -> bool:
+def _principal_filters(x: FiniteStructure) -> tuple[dict, list[int]]:
+    """The meet table of ``x``, and ``up[p]``: the principal filter of
+    each element ``p``."""
     meet = x.op("meet")
-    for m in masks:
-        if m == 0:
-            continue
-        p = None
-        for e in bits(m):
-            p = e if p is None else meet[p, e]
-        principal = mask_of(e for e in range(x.size) if meet[p, e] == p)
-        if principal != m:
-            return False
-    return True
+    n = x.size
+    return meet, [
+        mask_of(e for e in range(n) if meet[p, e] == p) for p in range(n)
+    ]
 
 
-def _filter_form_agrees(x: FiniteStructure, masks) -> bool:
+def _meet_of(meet: dict, s: int) -> int:
+    """⋀s of a nonempty subset mask ``s``."""
+    return functools.reduce(lambda p, e: meet[p, e], bits(s))
+
+
+def _principal_filters_ok(meet: dict, up: list[int], masks) -> bool:
+    """Each nonempty mask is the principal filter ``up[⋀m]`` of its meet."""
+    return all(up[_meet_of(meet, m)] == m for m in masks if m)
+
+
+def _filter_form_agrees(meet: dict, up: list[int], masks) -> bool:
     """Rule (H) versus the order shorthand, on every pair with a nonempty
     left side: s ⋈ t iff t meets the principal filter of ⋀s.  (The empty
     left side is where the shorthand is ambiguous, so it is excluded.)"""
-    meet = x.op("meet")
-    n = x.size
+    n = len(up)
     guard("pair-axiom-sweep", n, "filter form sweep")
-    up = [
-        mask_of(e for e in range(n) if meet[p, e] == p) for p in range(n)
-    ]
-    principal = [0] + [
-        up[functools.reduce(lambda p, e: meet[p, e], bits(s))]
-        for s in range(1, 1 << n)
-    ]
+    principal = [0] + [up[_meet_of(meet, s)] for s in range(1, 1 << n)]
     linked = BeaOracle.from_halfspaces(n, masks).linkage
     disagree = linked ^ transversal_bits(n, principal, range(1 << n))
     # Row s = 0, the indices below 2^n, is left out.
@@ -408,8 +407,9 @@ def verify_hms(
                 "pass": False,
             }
         homs = dual_x.carrier.homs
-        filters_ok = _principal_filters_ok(x, homs.sets)
-        agrees = _filter_form_agrees(x, homs.sets)
+        meet, up = _principal_filters(x)
+        filters_ok = _principal_filters_ok(meet, up, homs.sets)
+        agrees = _filter_form_agrees(meet, up, homs.sets)
         ok = (
             filters_ok
             and ev.injective

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import json
 
-from .bea import BeaOracle, oracle_to_table
+from .bea import BeaOracle, pairs_of
+from .caps import guard
 from .convexity import BiConvexity
 from .core import FiniteStructure, SetFamily, Signature, Symbol, bits, mask_of, validate
 from .errors import InputError
@@ -146,13 +147,17 @@ def family_from_json(doc: dict) -> SetFamily:
 # -------------------------------------------------------------------- bea
 
 def bea_to_json(oracle: BeaOracle) -> dict:
-    table = oracle if oracle.pairs is not None else oracle_to_table(oracle)
+    n = oracle.universe
+    pairs = oracle.pairs
+    if pairs is None:
+        guard("pair-axiom-sweep", n, "pair-table materialization")
+        pairs = pairs_of(oracle.linkage, n)
     return {
         "kind": "bea",
-        "universe": table.universe,
-        "pairs": sorted([_indices(s), _indices(t)] for s, t in table.pairs),
-        "zero": table.zero_elem,
-        "one": table.one_elem,
+        "universe": n,
+        "pairs": sorted([_indices(s), _indices(t)] for s, t in pairs),
+        "zero": oracle.zero_elem,
+        "one": oracle.one_elem,
     }
 
 

@@ -22,6 +22,7 @@ from twodual import (
     check_axiom,
     check_axioms,
     complement,
+    core,
     family_bea,
     is_halfspace,
     oracle_to_table,
@@ -37,14 +38,13 @@ from twodual.bea import (
     _report,
     column_bits,
     pairs_of,
-    point_columns,
     row_bits,
     singleton_links,
     transversal_bits,
     up_closure,
 )
 from twodual.convexity import bea_from_biconvexity, biconvexity_from_bea
-from twodual.core import SetFamily, mask_of
+from twodual.core import SetFamily, mask_of, point_columns
 from twodual.errors import EmptyUniverse, InputError
 from twodual.instances import verifiers
 from twodual.instances.generators import gen_biconvexity, random_oracle_instances
@@ -600,6 +600,7 @@ def test_transversal_bits_and_pairs_of_match_the_double_loop():
 def test_point_columns_and_transversal_bits_match_the_double_loop_on_repeats():
     # Hull lists repeat a few masks across all 2^n subsets, and so the
     # rows of their tables repeat; so do these.
+    assert point_columns([]) == []
     rng = SplitMix64(97)
     for n in range(1, 7):
         size = 1 << n
@@ -630,7 +631,9 @@ def test_transversal_bits_decodes_each_distinct_value_once(monkeypatch):
         decoded.append(mask)
         return bits(mask)
 
+    # The rows decode in bea, the columns in core's point_columns.
     monkeypatch.setattr(bea, "bits", counted)
+    monkeypatch.setattr(core, "bits", counted)
     rng = SplitMix64(101)
     n = 5
     pool = [rng.mask(n) for _ in range(4)]

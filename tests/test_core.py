@@ -424,9 +424,32 @@ def test_set_family_rejects_duplicates_and_overflow():
 
 def test_point_row_lists_members_containing_the_point():
     fam = SetFamily(base=3, sets=(0b001, 0b011, 0b110))
-    assert fam.point_row(0) == 0b011  # members 0 and 1 contain point 0
-    assert fam.point_row(1) == 0b110
-    assert fam.point_row(2) == 0b100
+    assert fam.point_rows[0] == 0b011  # members 0 and 1 contain point 0
+    assert fam.point_rows[1] == 0b110
+    assert fam.point_rows[2] == 0b100
+
+
+def reference_point_row(fam, x):
+    """The members containing point ``x``, one member at a time."""
+    return mask_of(i for i, m in enumerate(fam.sets) if m >> x & 1)
+
+
+def test_point_rows_match_the_per_point_definition():
+    rng = SplitMix64(29)
+    families = [
+        SetFamily(base=0, sets=()),
+        SetFamily(base=4, sets=()),
+        # No member reaches points 3 and 4: their rows are zero.
+        SetFamily(base=5, sets=(0b000, 0b011, 0b101)),
+    ]
+    for _ in range(60):
+        base = rng.randint(1, 9)
+        members = {rng.mask(base) for _ in range(rng.randint(0, 12))}
+        families.append(SetFamily(base=base, sets=tuple(members)))
+    for fam in families:
+        want = tuple(reference_point_row(fam, x) for x in range(fam.base))
+        assert fam.point_rows == want
+        assert fam.point_rows is fam.point_rows
 
 
 def test_transpose_collapses_identical_rows():

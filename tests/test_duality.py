@@ -241,7 +241,7 @@ def reference_untransported(oracle):
     second = all_halfspaces(ud.oracle).sets
     bi = family_bea(SetFamily(base=len(ud.carrier.sets), sets=second))
     n = oracle.universe
-    ev = [1 << second.index(ud.carrier.point_row(x)) for x in range(n)]
+    ev = [1 << second.index(ud.carrier.point_rows[x]) for x in range(n)]
 
     def image(s):
         return sum(ev[x] for x in range(n) if s >> x & 1)

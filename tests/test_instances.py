@@ -44,6 +44,7 @@ from twodual.instances.verifiers import (
     _filter_nesting,
     _instance_key,
     _is_distributive,
+    _principal_filters,
     _sample_unlinked_pairs,
     ordered_map,
     run_suite,
@@ -512,13 +513,14 @@ def test_filter_form_sweep_on_semilattice_homs():
     semi_t = template("semilattice")
     for x in gen_semilattices(3):
         masks = enumerate_homs(x, semi_t).homs.sets
-        assert _filter_form_agrees(x, masks)
+        meet, up = _principal_filters(x)
+        assert _filter_form_agrees(meet, up, masks)
         # With no halfspaces every pair links, so the shorthand disagrees.
-        assert not _filter_form_agrees(x, ())
+        assert not _filter_form_agrees(meet, up, ())
         # Without the empty halfspace the empty left side links to the
         # whole universe; only that row changes, and it is left out.
         assert 0 in masks
-        assert _filter_form_agrees(x, [m for m in masks if m])
+        assert _filter_form_agrees(meet, up, [m for m in masks if m])
 
 
 def reference_unlinked_pairs(oracle, rng, pairs_per):
